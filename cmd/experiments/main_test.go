@@ -58,3 +58,45 @@ func TestUsageErrorsExitTwoWithListing(t *testing.T) {
 		})
 	}
 }
+
+// TestFullSuiteMatchesGolden pins the whole E1–E17 output byte for
+// byte, at the default worker-pool width and at -p 1, so a change that
+// moves any table cell fails here instead of in prose. When a change
+// moves the output on purpose, regenerate the golden with
+//
+//	go run ./cmd/experiments > cmd/experiments/testdata/all.golden
+//
+// and review the diff.
+func TestFullSuiteMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{nil, {"-p", "1"}} {
+		got, err := exec.Command(binPath, args...).Output()
+		if err != nil {
+			t.Fatalf("experiments %v: %v", args, err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("experiments %v: output differs from testdata/all.golden\n%s", args, firstDiff(string(want), string(got)))
+		}
+	}
+}
+
+// firstDiff describes the first line on which got departs from want.
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("line %d:\n want %q\n got  %q", i+1, w, g)
+		}
+	}
+	return "(no differing line)"
+}
