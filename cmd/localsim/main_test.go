@@ -75,3 +75,29 @@ func TestValidInvocationExitsZero(t *testing.T) {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
+
+// The gather scale workload's result lines are pinned byte for byte
+// (wall time stripped): clean, lossy and crash-stop runs on tori.
+func TestGatherResultLinesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "gather", "-host", "torus:200x200", "-rmax", "2"},
+			"rounds: 3   radius-2 view types: 49   wall:"},
+		{[]string{"-algo", "gather", "-host", "torus:30x30", "-rmax", "3", "-faults", "lossy:p=0.05"},
+			"rounds: 4   radius-3 view types: 720   crashed: 0   dropped: 538   wall:"},
+		{[]string{"-algo", "gather", "-host", "torus:30x30", "-rmax", "2", "-faults", "crash:f=40,by=2"},
+			"rounds: 3   radius-2 view types: 133   crashed: 40   dropped: 0   wall:"},
+	} {
+		out, err := exec.Command(binPath, tc.args...).Output()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		got, _, _ := strings.Cut(lines[len(lines)-1], "wall:")
+		if got+"wall:" != tc.want {
+			t.Errorf("%v:\n got  %q\n want %q", tc.args, got+"wall:", tc.want)
+		}
+	}
+}

@@ -405,3 +405,31 @@ func TestJobSaturation(t *testing.T) {
 		t.Error("queue depth 0 at saturation")
 	}
 }
+
+// TestGatherJobResultsPinned: gather job result bodies are pinned byte
+// for byte, clean and lossy.
+func TestGatherJobResultsPinned(t *testing.T) {
+	m := openTestManager(t, Config{Workers: 2})
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: "run", Algo: "gather", Host: "torus:20x20", Rmax: 3},
+			`{"kind":"run","host":"torus:20x20","algo":"gather","n":400,"seed":1,"rounds":4,"size":81}`},
+		{Spec{Kind: "run", Algo: "gather", Host: "torus:20x20", Rmax: 3, Seed: 4, Faults: "lossy:p=0.1"},
+			`{"kind":"run","host":"torus:20x20","algo":"gather","n":400,"seed":4,"rounds":4,"size":399,"faults":{"profile":"lossy:p=0.1","crashed":0,"dropped":487,"duplicated":0,"reordered":0}}`},
+	} {
+		st, err := m.Submit(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, st.ID, "done")
+		body, err := m.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != tc.want {
+			t.Errorf("%+v:\n got  %s\n want %s", tc.spec, body, tc.want)
+		}
+	}
+}

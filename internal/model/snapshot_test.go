@@ -2,7 +2,9 @@ package model
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -454,5 +456,35 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, u) {
 		t.Fatalf("untyped round trip mismatch:\n  in  %+v\n  out %+v", u, got)
+	}
+}
+
+// TestSnapshotTypedBytesPinned pins the typed snapshot encoding: the
+// SHA-256 of every checkpoint of a clean and a lossy torus run, in
+// round order. Job checkpoints written by earlier builds must keep
+// resuming, so these bytes may only change with a version bump.
+func TestSnapshotTypedBytesPinned(t *testing.T) {
+	h := HostFromGraph(graph.Torus(6, 6))
+	n := h.G.N()
+	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
+	for _, tc := range []struct{ prof, want string }{
+		{"", "6da1ea3a8bd10dc55a1210cee98b11f22e03e38b9982194c885f752b8cdd8489"},
+		{"lossy:p=0.2", "675e0835ab4254fa59126547f7a371e61c3297c9b72e849d93565aa7a25903b7"},
+	} {
+		var sched Schedule
+		if tc.prof != "" {
+			sched = MustParseProfile(tc.prof).New(h, 99)
+		}
+		sum := sha256.New()
+		ck := &Checkpointer{Every: 1, Sink: func(s *Snapshot) error {
+			sum.Write(s.Encode())
+			return nil
+		}}
+		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {
+			t.Errorf("profile %q: snapshot bytes hash %s, want %s", tc.prof, got, tc.want)
+		}
 	}
 }

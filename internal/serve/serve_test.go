@@ -439,3 +439,24 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal("Shutdown did not complete")
 	}
 }
+
+// The /v1/run gather response bodies are pinned byte for byte, clean
+// and under drop, duplicate+reorder and crash-recover schedules.
+func TestRunGatherBodiesPinned(t *testing.T) {
+	s := New(Config{})
+	for _, tc := range []struct{ target, want string }{
+		{"/v1/run?algo=gather&host=torus:30x30&rmax=3",
+			`{"host":"torus:30x30","algo":"gather","n":900,"seed":1,"rounds":4,"size":81}`},
+		{"/v1/run?algo=gather&host=torus:30x30&rmax=3&faults=lossy:p=0.05&seed=3",
+			`{"host":"torus:30x30","algo":"gather","n":900,"seed":3,"rounds":4,"size":746,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":554,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=gather&host=torus:20x20&rmax=2&faults=dup%2Breorder:p=0.25&seed=5",
+			`{"host":"torus:20x20","algo":"gather","n":400,"seed":5,"rounds":3,"size":49,"faults":{"profile":"dup+reorder:p=0.25","crashed":0,"dropped":0,"duplicated":824,"reordered":800,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=gather&host=torus:20x20&rmax=3&faults=crash:f=30,by=2,recover=2&seed=9",
+			`{"host":"torus:20x20","algo":"gather","n":400,"seed":9,"rounds":4,"size":320,"faults":{"profile":"crash:f=30,by=2,recover=2","crashed":0,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+	} {
+		rr := do(t, s, tc.target)
+		if rr.Code != 200 || rr.Body.String() != tc.want {
+			t.Errorf("%s: %d\n got  %s\n want %s", tc.target, rr.Code, rr.Body.String(), tc.want)
+		}
+	}
+}
