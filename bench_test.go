@@ -9,6 +9,7 @@ package localapprox
 // Run: go test -bench=. -benchmem
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -210,47 +211,18 @@ func BenchmarkCanonicalBallParallel(b *testing.B) {
 
 // --- round engine (model.Engine) ---
 
-// benchPulse is the steady-state round workload: every node
-// broadcasts a pre-boxed payload on all its letters each round, for a
-// caller-chosen number of rounds. One benchmark op is ONE ROUND: the
-// whole measured region is a single engine run of b.N rounds, so
-// per-run setup (Init, worker spawn) amortises to zero and allocs/op
-// is the genuine steady-state per-round allocation count.
+// benchPulse is the steady-state round workload of the reference loop:
+// every node broadcasts a pre-boxed payload on all its letters each
+// round, for a caller-chosen number of rounds. One benchmark op is ONE
+// ROUND: the whole measured region is a single run of b.N rounds, so
+// per-run setup amortises to zero.
 type benchPulse struct {
 	letters []view.Letter
 	left    int
 }
 
-// benchPulseAlgo is the engine-native form: states are pre-allocated
-// and handed out by the sequential Init; Step sends its own state
-// pointer, so a steady-state round performs no allocation at all.
-func benchPulseAlgo(states []benchPulse, rounds int) model.EngineAlgo {
-	next := 0
-	return model.EngineAlgo{
-		Init: func(info model.NodeInfo) any {
-			s := &states[next]
-			next++
-			s.letters = info.Letters
-			s.left = rounds
-			return s
-		},
-		Step: func(state any, round int, inbox []model.Msg, out *model.Outbox) (any, bool) {
-			s := state.(*benchPulse)
-			if s.left == 0 {
-				return s, true
-			}
-			s.left--
-			for _, l := range s.letters {
-				out.Send(l, s)
-			}
-			return s, false
-		},
-		Out: func(any) model.Output { return model.Output{} },
-	}
-}
-
-// benchPulseRoundAlgo is the identical workload in the classical
-// slice-returning form, for the retained reference loop.
+// benchPulseRoundAlgo is the workload in the classical slice-returning
+// form the reference loop runs.
 func benchPulseRoundAlgo(states []benchPulse, rounds int) model.RoundAlgo {
 	next := 0
 	return model.RoundAlgo{
@@ -277,67 +249,68 @@ func benchPulseRoundAlgo(states []benchPulse, rounds int) model.RoundAlgo {
 	}
 }
 
-// benchTorusEngine caches the 4096-node torus host and its engine
-// across the benchmark's calibration calls.
-var benchTorusEngine struct {
+// benchTorus caches the 4096-node torus host and the reference loop's
+// state array across the benchmarks' calibration calls.
+var benchTorus struct {
 	sync.Once
 	h      *model.Host
-	e      *model.Engine
 	states []benchPulse
 }
 
-func torusEngine() (*model.Host, *model.Engine, []benchPulse) {
-	benchTorusEngine.Do(func() {
-		benchTorusEngine.h = model.HostFromGraph(graph.Torus(64, 64))
-		benchTorusEngine.e = model.NewEngine(benchTorusEngine.h)
-		benchTorusEngine.states = make([]benchPulse, 4096)
+func torusHost() (*model.Host, []benchPulse) {
+	benchTorus.Do(func() {
+		benchTorus.h = model.HostFromGraph(graph.Torus(64, 64))
+		benchTorus.states = make([]benchPulse, 4096)
 	})
-	return benchTorusEngine.h, benchTorusEngine.e, benchTorusEngine.states
+	return benchTorus.h, benchTorus.states
+}
+
+// benchGather runs one radius-2 Gather on the 4096-node torus per op:
+// engine construction, three rounds of column-handle messages and the
+// hash-consed view assembly, the path /v1/run?algo=gather and
+// localsim -algo gather take.
+func benchGather(b *testing.B, profile string) {
+	defer par.Set(par.Set(8))
+	h, _ := torusHost()
+	var sched model.Schedule
+	maxRounds := 4
+	if profile != "" {
+		sched = model.MustParseProfile(profile).New(h, 11)
+		maxRounds += 256
+	}
+	ctx := context.Background()
+	if _, _, _, err := model.Gather(ctx, h, 2, maxRounds, sched); err != nil {
+		b.Fatal(err) // warm-up: the view interner
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := model.Gather(ctx, h, 2, maxRounds, sched); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkRunRounds(b *testing.B) {
-	// The engine on the 4096-node torus at parallelism 8, measured per
-	// round. CI-gated against BENCH_ci.json in ns/op and allocs/op:
-	// steady-state rounds must stay at 0 allocs/op. par.Set(8) fixes
-	// the worker count whatever the runner's core count; on smaller
-	// machines the workers timeshare, which only makes the measured
-	// ns/op conservative.
-	defer par.Set(par.Set(8))
-	_, e, states := torusEngine()
-	if _, _, err := e.RunStates(nil, benchPulseAlgo(states, 4), 8); err != nil {
-		b.Fatal(err) // warm-up: arenas, letter slices, worklists
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, _, err := e.RunStates(nil, benchPulseAlgo(states, b.N), b.N+2); err != nil {
-		b.Fatal(err)
-	}
+	// Clean radius-2 gather on the 4096-node torus at parallelism 8.
+	// CI-gated against BENCH_ci.json in ns/op and allocs/op. par.Set(8)
+	// fixes the worker count whatever the runner's core count; on
+	// smaller machines the workers timeshare, which only makes the
+	// measured ns/op conservative.
+	benchGather(b, "")
 }
 
 func BenchmarkRunRoundsFaulty(b *testing.B) {
-	// The identical 4096-node torus workload through the faulty step
-	// path under lossy:p=0.05 — prices the per-slot fate draws and the
-	// dense-inbox recompaction relative to BenchmarkRunRounds.
-	// CI-gated against BENCH_ci.json: fates are pure functions of
-	// (seed, round, slot), so after the warm-up run sizes the fault
-	// arena a steady-state round stays at 0 allocs/op.
-	defer par.Set(par.Set(8))
-	h, e, states := torusEngine()
-	sched := model.MustParseProfile("lossy:p=0.05").New(h, 11)
-	if _, _, _, err := e.RunStatesFaulty(nil, benchPulseAlgo(states, 4), 8, sched); err != nil {
-		b.Fatal(err) // warm-up: fault arena, crashed bitmap
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, _, _, err := e.RunStatesFaulty(nil, benchPulseAlgo(states, b.N), b.N+2, sched); err != nil {
-		b.Fatal(err)
-	}
+	// The same gather under lossy:p=0.05: prices the per-slot fate
+	// draws and the degraded view assembly relative to
+	// BenchmarkRunRounds. CI-gated against BENCH_ci.json.
+	benchGather(b, "lossy:p=0.05")
 }
 
-// benchPulseWordAlgo is benchPulse on the typed word lane: the
+// benchPulseWordAlgo is benchPulse on the word lane: the
 // remaining-round counter IS the uint64 state, and the per-round
 // broadcast is one word written across the slot row — the same
-// message traffic as benchPulseAlgo with the boxing gone.
+// message traffic as benchPulseRoundAlgo with the boxing gone.
 func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
 		Init: func(v int, info model.NodeInfo) uint64 { return uint64(rounds) },
@@ -353,9 +326,8 @@ func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	}
 }
 
-// benchTorusWordEngine caches the typed twin of benchTorusEngine,
-// sharing nothing with it so the two benchmarks never warm each
-// other's arenas.
+// benchTorusWordEngine caches the word-lane engine on the 4096-node
+// torus across calibration calls.
 var benchTorusWordEngine struct {
 	sync.Once
 	h *model.Host
@@ -371,13 +343,10 @@ func torusWordEngine() (*model.Host, *model.WordEngine) {
 }
 
 func BenchmarkRunRoundsTyped(b *testing.B) {
-	// BenchmarkRunRounds through the typed word lane: same 4096-node
-	// torus, same parallelism 8, same per-round message traffic, with
-	// states and payloads in contiguous uint64 columns instead of
-	// boxed interfaces. CI-gated against BENCH_ci.json in ns/op and
-	// allocs/op (steady-state rounds must stay at 0 allocs/op); the
-	// ratio to BenchmarkRunRounds is the typed plane's speedup,
-	// recorded in BENCH_pr7.json.
+	// One steady-state round of the word-lane engine on the 4096-node
+	// torus at parallelism 8, measured per round. CI-gated against
+	// BENCH_ci.json in ns/op and allocs/op: steady-state rounds must
+	// stay at 0 allocs/op.
 	defer par.Set(par.Set(8))
 	_, e := torusWordEngine()
 	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8); err != nil {
@@ -393,7 +362,7 @@ func BenchmarkRunRoundsTyped(b *testing.B) {
 func BenchmarkRunRoundsTypedFaulty(b *testing.B) {
 	// The typed workload through the faulty step path under the same
 	// lossy:p=0.05 schedule as BenchmarkRunRoundsFaulty — prices the
-	// per-slot fate draws on the word lane. CI-gated: steady-state
+	// per-slot fate draws. CI-gated: steady-state
 	// faulty typed rounds must stay at 0 allocs/op.
 	defer par.Set(par.Set(8))
 	h, e := torusWordEngine()
@@ -547,12 +516,11 @@ func BenchmarkShardedExchange(b *testing.B) {
 }
 
 func BenchmarkRunRoundsReference(b *testing.B) {
-	// The identical per-round workload through the retained reference
-	// loop (append-built [][]Msg inboxes, every node visited every
-	// round) — the denominator of the engine's speedup, recorded in
-	// BENCH_pr5.json.
+	// The pulse workload through the reference loop (append-built
+	// [][]Msg inboxes, every node visited every round) — the
+	// denominator of BenchmarkRunRoundsTyped's speedup.
 	defer par.Set(par.Set(8))
-	h, _, states := torusEngine()
+	h, states := torusHost()
 	b.ReportAllocs()
 	b.ResetTimer()
 	if _, _, err := model.RunRoundsReference(h, nil, benchPulseRoundAlgo(states, b.N), b.N+2); err != nil {
@@ -560,73 +528,16 @@ func BenchmarkRunRoundsReference(b *testing.B) {
 	}
 }
 
-// benchMillionEngine caches the 10^6-node cycle engine (the E16-scale
-// message plane) across calibration calls, including one persistent
-// algo value whose closures never reallocate between runs.
-var benchMillionEngine struct {
-	sync.Once
-	e      *model.Engine
-	states []benchPulse
-	algo   model.EngineAlgo
-	next   int
-	rounds int
-}
-
-func BenchmarkEngineMillionCycle(b *testing.B) {
-	// One round on a million-node cycle: the scale assertion of the
-	// operational layer. After the warm-up run the arena is sized and
-	// every state exists, so steady-state rounds report 0 allocs/op.
-	m := &benchMillionEngine
-	m.Do(func() {
-		h := model.HostFromGraph(graph.Cycle(1_000_000))
-		m.e = model.NewEngine(h)
-		m.states = make([]benchPulse, 1_000_000)
-		m.algo = model.EngineAlgo{
-			Init: func(info model.NodeInfo) any {
-				s := &m.states[m.next]
-				m.next++
-				s.letters = info.Letters
-				s.left = m.rounds
-				return s
-			},
-			Step: func(state any, round int, inbox []model.Msg, out *model.Outbox) (any, bool) {
-				s := state.(*benchPulse)
-				if s.left == 0 {
-					return s, true
-				}
-				s.left--
-				for _, l := range s.letters {
-					out.Send(l, s)
-				}
-				return s, false
-			},
-			Out: func(any) model.Output { return model.Output{} },
-		}
-	})
-	m.next, m.rounds = 0, 2
-	if _, _, err := m.e.RunStates(nil, m.algo, 4); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.next, m.rounds = 0, b.N
-	if _, _, err := m.e.RunStates(nil, m.algo, b.N+2); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchMillionWordEngine caches the typed 10^6-node cycle engine.
+// benchMillionWordEngine caches the 10^6-node cycle engine.
 var benchMillionWordEngine struct {
 	sync.Once
 	e *model.WordEngine
 }
 
 func BenchmarkEngineMillionCycleTyped(b *testing.B) {
-	// BenchmarkEngineMillionCycle on the typed word lane: a million
-	// uint64 states in one column and one word per slot, against a
-	// million boxed *benchPulse states and interface payloads on the
-	// untyped plane — the B/op and ns/op gap is the columnar layout's
-	// win at scale. CI-gated against BENCH_ci.json.
+	// One round on a million-node cycle: a million uint64 states in
+	// one column and one word per slot — the scale assertion of the
+	// operational layer. CI-gated against BENCH_ci.json.
 	m := &benchMillionWordEngine
 	m.Do(func() {
 		m.e = model.NewWordEngine(model.HostFromGraph(graph.Cycle(1_000_000)))

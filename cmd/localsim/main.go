@@ -84,6 +84,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -100,7 +101,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/problems"
-	"repro/internal/view"
 )
 
 // maxRmax caps the homogeneity radius sweep (see cmd/experiments).
@@ -427,32 +427,21 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 		if rmax >= 1 {
 			r = rmax
 		}
+		maxRounds := r + 2
 		if prof != nil {
-			states, rounds, rep, err := model.RunRoundsStatesFaulty(h, nil, model.GatherViews(r), r+2+256, sched)
-			if err != nil {
-				return err
-			}
-			types := map[*view.Tree]bool{}
-			for v, st := range states {
-				if rep.CrashedNode(v) {
-					continue
-				}
-				types[st.(*model.GatherState).Tree] = true
-			}
-			fmt.Printf("rounds: %d   radius-%d view types: %d   crashed: %d   dropped: %d   wall: %s\n",
-				rounds, r, len(types), rep.NumCrashed, rep.Dropped, time.Since(start).Round(time.Millisecond))
-			return nil
+			maxRounds += 256
 		}
-		states, rounds, err := model.RunRoundsStates(h, nil, model.GatherViews(r), r+2)
+		trees, rounds, rep, err := model.Gather(context.Background(), h, r, maxRounds, sched)
 		if err != nil {
 			return err
 		}
-		types := map[*view.Tree]bool{}
-		for _, st := range states {
-			types[st.(*model.GatherState).Tree] = true
+		if prof != nil {
+			fmt.Printf("rounds: %d   radius-%d view types: %d   crashed: %d   dropped: %d   wall: %s\n",
+				rounds, r, model.ViewTypes(trees, rep), rep.NumCrashed, rep.Dropped, time.Since(start).Round(time.Millisecond))
+			return nil
 		}
 		fmt.Printf("rounds: %d   radius-%d view types: %d   wall: %s\n",
-			rounds, r, len(types), time.Since(start).Round(time.Millisecond))
+			rounds, r, model.ViewTypes(trees, rep), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

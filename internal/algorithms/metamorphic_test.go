@@ -189,7 +189,7 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 	}
 }
 
-// floodRankAlgo is an order-invariant engine workload for the faulty
+// floodRankAlgo is an order-invariant reference-loop workload for the
 // metamorphic legs: every node floods the largest identifier heard
 // for a fixed number of rounds and outputs whether it heard one
 // larger than its own. Both the message pattern and the output depend
@@ -245,11 +245,11 @@ func TestMetamorphicFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			o1, r1, rep1, err := model.RunRoundsFaulty(h, ids1, floodRankAlgo(3), 300, sched)
+			o1, r1, rep1, err := model.RunRoundsTypedFaulty(h, ids1, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			o2, r2, rep2, err := model.RunRoundsFaulty(h, ids2, floodRankAlgo(3), 300, sched)
+			o2, r2, rep2, err := model.RunRoundsTypedFaulty(h, ids2, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -273,14 +273,14 @@ func uniqueInts(xs []int) bool {
 }
 
 // floodRankTypedState mirrors floodRankAlgo's boxed state on the
-// typed column: identifiers only matter through their order, and the
+// engine's state column: identifiers only matter through their order, and the
 // word lane carries the current best id.
 type floodRankTypedState struct {
 	id   int64
 	best int64
 }
 
-// floodRankTypedAlgo is floodRankAlgo on the typed plane — the same
+// floodRankTypedAlgo is floodRankAlgo on the engine — the same
 // order-invariant flood, states in a contiguous column and payloads
 // on the uint64 word lane.
 func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
@@ -307,25 +307,34 @@ func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
 }
 
 // TestMetamorphicTypedFaultyOIInvariance extends the faulty
-// OI-invariance property to the typed engine, and couples the two
-// lanes: on every seeded host and profile, (a) the typed execution is
-// invariant under rank-preserving relabelings, and (b) the typed and
-// untyped executions of the same workload agree byte for byte —
-// outputs, rounds and fault reports — on every reproducer seed.
+// OI-invariance property to duplicating, reordering and crashing
+// schedules, and anchors the engine to the oracle: on every seeded
+// host, (a) the clean engine execution agrees with the reference loop
+// byte for byte, and (b) the faulty execution is invariant under
+// rank-preserving relabelings — outputs, rounds and fault reports.
 func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		for _, profile := range []string{"lossy:p=0.15", "churn:p=0.2,window=1"} {
+		for _, profile := range []string{"dup+reorder:p=0.3", "crash:f=3,by=2"} {
 			rng := rand.New(rand.NewSource(seed))
 			h := metamorphicHost(rng)
 			n := h.G.N()
 			rank := order.Rank(rng.Perm(n))
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
-			sched := model.MustParseProfile(profile).New(h, seed)
-			u1, ur1, urep1, err := model.RunRoundsFaulty(h, ids1, floodRankAlgo(3), 300, sched)
+			ref, refRounds, err := model.RunRoundsReference(h, ids1, floodRankAlgo(3), 300)
 			if err != nil {
-				t.Fatalf("untyped ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
+				t.Fatalf("reference: %v — reproducer (seed %d)", err, seed)
 			}
+			clean, cleanRounds, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300)
+			if err != nil {
+				t.Fatalf("clean: %v — reproducer (seed %d)", err, seed)
+			}
+			for v, st := range ref {
+				if !reflect.DeepEqual(clean[v], floodRankAlgo(3).Out(st)) || cleanRounds != refRounds {
+					t.Fatalf("engine and reference disagree at node %d on n=%d host — reproducer (seed %d)", v, n, seed)
+				}
+			}
+			sched := model.MustParseProfile(profile).New(h, seed)
 			t1, tr1, trep1, err := model.RunRoundsTypedFaulty(h, ids1, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
@@ -336,10 +345,6 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 			}
 			if tr1 != tr2 || !reflect.DeepEqual(t1, t2) || !reflect.DeepEqual(trep1, trep2) {
 				t.Errorf("typed faulty execution not order-invariant on n=%d host — reproducer (seed %d, profile %q)",
-					n, seed, profile)
-			}
-			if tr1 != ur1 || !reflect.DeepEqual(t1, u1) || !reflect.DeepEqual(trep1, urep1) {
-				t.Errorf("typed and untyped faulty executions disagree on n=%d host — reproducer (seed %d, profile %q)",
 					n, seed, profile)
 			}
 		}

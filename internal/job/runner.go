@@ -15,7 +15,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/problems"
-	"repro/internal/view"
 )
 
 // This file is the workload layer of the job subsystem: each runner
@@ -299,29 +298,17 @@ func runEngineWorkload(a *attempt, spec Spec) ([]byte, error) {
 		if r < 1 {
 			r = 2
 		}
-		types := map[*view.Tree]bool{}
+		maxRounds := r + 2
 		if sched != nil {
-			states, rounds, rep, err := model.RunRoundsStatesFaultyCtx(a.ctx, h, nil, model.GatherViews(r), r+2+gatherFaultSlack, sched)
-			if err != nil {
-				return nil, err
-			}
-			for v, st := range states {
-				if rep.CrashedNode(v) {
-					continue
-				}
-				types[st.(*model.GatherState).Tree] = true
-			}
-			out.Rounds, out.Size = rounds, len(types)
+			maxRounds += gatherFaultSlack
+		}
+		trees, rounds, rep, err := model.Gather(a.ctx, h, r, maxRounds, sched)
+		if err != nil {
+			return nil, err
+		}
+		out.Rounds, out.Size = rounds, model.ViewTypes(trees, rep)
+		if sched != nil {
 			out.Faults = summarise(prof, rep)
-		} else {
-			states, rounds, err := model.RunRoundsStatesCtx(a.ctx, h, nil, model.GatherViews(r), r+2)
-			if err != nil {
-				return nil, err
-			}
-			for _, st := range states {
-				types[st.(*model.GatherState).Tree] = true
-			}
-			out.Rounds, out.Size = rounds, len(types)
 		}
 	default:
 		return nil, fmt.Errorf("job: unknown run workload %q", spec.Algo)

@@ -12,7 +12,7 @@ import (
 )
 
 // Engine is the batched worker-parallel round simulator behind
-// RunRounds: the operational analogue of the sweep engine. It sizes a
+// TypedEngine: the operational analogue of the sweep engine. It sizes a
 // CSR message plane once from the host's arc structure and then
 // executes synchronous rounds with no per-round slice churn at all.
 //
@@ -31,11 +31,9 @@ import (
 // round r iff its stamp equals the run's base tick + r + 1, so
 // neither arena is ever zeroed, not even between runs.
 //
-// Payload lanes. The any-payload arenas (buf) are the general plane;
-// typed runs (see TypedEngine) carry fixed-width payloads in a
-// parallel uint64 word lane (wbuf) that shares the same slots, stamps,
-// routing and letter order — allocated lazily on the first typed
-// attachment, so purely untyped engines never pay for it.
+// Payload lane. Every payload is one uint64 word in the lane wbuf,
+// parallel to the stamps; algorithms attach through TypedOn and carry
+// wider payloads as column handles (see Gather).
 //
 // Worklist. Halted nodes leave the active list and cost nothing: each
 // round is a worker-sharded sweep of the active list only (dynamic
@@ -45,15 +43,14 @@ import (
 // steady-state round performs no allocation and no goroutine churn.
 //
 // Determinism. Each node's Step writes only that node's state slot,
-// halt flag, dense-inbox region and outgoing message slots, so
-// parallel and sequential runs are byte-identical; any randomness
-// must be drawn before the run (Init is invoked sequentially in
-// increasing node order for exactly this reason).
+// halt flag and outgoing message slots, so parallel and sequential
+// runs are byte-identical; any randomness must be drawn before the
+// run (Init is invoked sequentially in increasing node order for
+// exactly this reason).
 //
 // An Engine may be reused for any number of runs on its host (arenas
-// warm up once), and typed and untyped runs may alternate on one
-// plane (the monotone stamps keep them from ever reading each other's
-// messages), but a single Engine must not execute two runs
+// warm up once; the monotone stamps keep a run from reading an earlier
+// run's messages), but a single Engine must not execute two runs
 // concurrently.
 type Engine struct {
 	h *Host
@@ -67,27 +64,16 @@ type Engine struct {
 	// the bound every per-worker inbox-compaction scratch is pre-sized
 	// from (2x for fault scratch, so duplicated deliveries fit).
 	maxSlots int32
-	// info holds every node's NodeInfo letters (out-arcs then in-arcs,
-	// as lettersOf produces) in one flat arena, sliced per node at
-	// Init time so a run performs no per-node letter allocation.
-	// Handed-out slices are shared: algorithms must treat them as
-	// read-only, which every RoundAlgo/EngineAlgo in the repo does.
-	info []view.Letter
-
-	// Message plane: double-buffered arenas with monotone stamps. wbuf
-	// is the typed word lane (parallel to buf, stamps shared), nil
-	// until the first TypedOn attachment.
-	buf   [2][]Msg
+	// Message plane: the double-buffered word lane with monotone
+	// stamps.
 	wbuf  [2][]uint64
 	stamp [2][]int64
 	tick  int64
 
 	// Run state, reused across runs.
-	states  []any
 	halted  []bool
 	active  []int32
 	spare   []int32
-	dense   []Msg
 	errs    []error
 	errFlag atomic.Bool
 
@@ -101,23 +87,20 @@ type Engine struct {
 	ctx context.Context
 
 	// Durability (snapshot.go). ck arms barrier checkpointing; the
-	// ckEnc* closures and ckTyped flag are installed per run by
-	// runStates (they capture the run's codecs and column). resume
-	// holds a snapshot armed for the next run; resumeFrom (-1 when
-	// disarmed) and repBase carry the restored round cursor and
-	// fault-counter bases into runCore.
+	// ckEncStates closure is installed per run by runStates (it
+	// captures the run's codec and column). resume holds a snapshot
+	// armed for the next run; resumeFrom (-1 when disarmed) and repBase
+	// carry the restored round cursor and fault-counter bases into
+	// runCore.
 	ck          *Checkpointer
-	ckTyped     bool
 	ckEncStates func(dst []byte) []byte
-	ckEncData   func(dst []byte, data any) []byte
 	resume      *Snapshot
 	resumeFrom  int
 	repBase     FaultReport
 }
 
 // WithContext arms cooperative cancellation for this engine's
-// subsequent runs (typed, untyped, clean and faulty alike — they all
-// share runCore): the round loop polls ctx.Err() once per round
+// subsequent runs (clean and faulty alike — they share runCore): the round loop polls ctx.Err() once per round
 // barrier, and a cancelled or deadline-expired context aborts the run
 // between rounds with an error wrapping ctx.Err() (so callers can
 // errors.Is against context.DeadlineExceeded). The persistent workers
@@ -133,57 +116,9 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 	return e
 }
 
-// EngineAlgo is the engine-native form of a round algorithm: Step
-// writes its outbox through the Outbox instead of returning a slice,
-// so a non-allocating Step makes the whole round allocation-free.
-// The inbox slice is valid only for the duration of the Step call
-// (it aliases the engine's dense arena); Step must not retain it.
-// At most one message may be sent per letter per round.
-type EngineAlgo struct {
-	// Init returns the initial state. It is called sequentially in
-	// increasing node order, so it may consume a shared RNG or a
-	// pre-drawn per-node table deterministically.
-	Init func(info NodeInfo) any
-	// Step consumes the inbox (in receiver letter order), emits
-	// messages for the next round through out, and returns the new
-	// state and whether the node halts.
-	Step func(state any, round int, inbox []Msg, out *Outbox) (any, bool)
-	// Out extracts the final output from a state.
-	Out func(state any) Output
-
-	// Optional checkpoint codecs (snapshot.go): EncodeState appends a
-	// self-delimiting encoding of a state's dynamic fields and
-	// DecodeState consumes one from the front of src — it receives the
-	// state Init just produced (so static per-node context like letter
-	// slices survives a resume without being serialised) and returns
-	// the state to run with, usually the same one mutated in place.
-	// EncodeData and DecodeData do the same for message payloads.
-	// Required only for checkpointed or resumed runs (the Data pair
-	// only when messages are in flight at a barrier).
-	EncodeState func(dst []byte, state any) []byte
-	DecodeState func(src []byte, state any) (dec any, rest []byte, err error)
-	EncodeData  func(dst []byte, data any) []byte
-	DecodeData  func(src []byte) (data any, rest []byte, err error)
-}
-
-// engine adapts the classical slice-returning RoundAlgo form.
-func (a RoundAlgo) engine() EngineAlgo {
-	return EngineAlgo{
-		Init: a.Init,
-		Step: func(state any, round int, inbox []Msg, out *Outbox) (any, bool) {
-			st, msgs, done := a.Step(state, round, inbox)
-			for _, m := range msgs {
-				out.Send(m.L, m.Data)
-			}
-			return st, done
-		},
-		Out: a.Out,
-	}
-}
-
 // NewEngine sizes a message plane for the host: one slot per incident
-// (arc, direction) pair, plus the dense-inbox arena, state, halt and
-// worklist arrays. Everything is allocated here; runs reuse it all.
+// (arc, direction) pair, plus the halt and worklist arrays. Everything
+// is allocated here; runs reuse it all.
 func NewEngine(h *Host) *Engine {
 	n := h.G.N()
 	e := &Engine{h: h, n: n}
@@ -226,46 +161,16 @@ func NewEngine(h *Host) *Engine {
 			e.dest[s] = e.slot(u, l.Inv())
 		}
 	}
-	e.info = make([]view.Letter, total)
-	for v := 0; v < n; v++ {
-		s := e.off[v]
-		for _, a := range h.D.Out(v) {
-			e.info[s] = view.Letter{Label: a.Label}
-			s++
-		}
-		for _, a := range h.D.In(v) {
-			e.info[s] = view.Letter{Label: a.Label, In: true}
-			s++
-		}
-	}
 	for a := 0; a < 2; a++ {
-		e.buf[a] = make([]Msg, total)
+		e.wbuf[a] = make([]uint64, total)
 		e.stamp[a] = make([]int64, total)
-		for s := range e.buf[a] {
-			// A slot's arrival letter never changes; senders only
-			// write Data and the stamp.
-			e.buf[a][s].L = e.letters[s]
-		}
 	}
-	e.dense = make([]Msg, total)
-	e.states = make([]any, n)
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.spare = make([]int32, 0, n)
 	e.errs = make([]error, n)
 	e.resumeFrom = -1
 	return e
-}
-
-// ensureWordLane allocates the typed payload lanes (8 bytes per slot;
-// stamps, routing and letter order are shared with the any lane) on
-// the first typed attachment.
-func (e *Engine) ensureWordLane() {
-	if e.wbuf[0] == nil {
-		total := len(e.letters)
-		e.wbuf[0] = make([]uint64, total)
-		e.wbuf[1] = make([]uint64, total)
-	}
 }
 
 // slot returns the index of v's slot for letter l, or off[v+1] when v
@@ -316,13 +221,10 @@ type Outbox struct {
 	downSteps int64
 
 	// Per-worker inbox-compaction scratch, pre-sized by the run from
-	// the plane's max in-degree (fault scratch at twice that, so every
-	// delivery duplicating still fits): wdense serves the typed clean
-	// path, fdense/fwdense the untyped/typed faulty paths. The clean
-	// untyped path compacts into the engine's global dense arena
-	// instead (its per-node regions are disjoint by construction).
+	// the plane's max in-degree: wdense serves the clean path, fwdense
+	// the faulty path at twice that, so every delivery duplicating
+	// still fits.
 	wdense  []WordMsg
-	fdense  []Msg
 	fwdense []WordMsg
 }
 
@@ -336,33 +238,11 @@ func (ob *Outbox) errf(format string, args ...any) error {
 	return fmt.Errorf("model: round %d: %s", ob.round, msg)
 }
 
-// Send emits a message on the arc named l at the sending node, to be
-// delivered next round. Sends on absent letters and second sends on
-// one letter in the same round are errors (reported by the run).
-func (ob *Outbox) Send(l view.Letter, data any) {
-	e := ob.e
-	v := int(ob.v)
-	s := e.slot(v, l)
-	if s == e.off[v+1] {
-		e.fail(v, ob.errf("node %d sent on absent letter %v", v, l))
-		return
-	}
-	d := ob.e.dest[s]
-	st := e.stamp[ob.nxt]
-	if st[d] == ob.want {
-		e.fail(v, ob.errf("node %d sent twice on letter %v", v, l))
-		return
-	}
-	e.buf[ob.nxt][d].Data = data
-	st[d] = ob.want
-}
-
 // SendWord emits the payload word w on the sender's local incident
 // slot (the letter-sorted index: typed info.Letters[slot] names the
-// arc) — the typed lane's analogue of Send, with the same contract:
-// sends on absent slots and second sends on one slot in the same
-// round are errors reported by the run. Unlike Send there is no
-// letter lookup at all; the slot index addresses the plane directly.
+// arc). Sends on absent slots and second sends on one slot in the
+// same round are errors reported by the run. There is no letter
+// lookup; the slot index addresses the plane directly.
 func (ob *Outbox) SendWord(slot int, w uint64) {
 	e := ob.e
 	v := int(ob.v)
@@ -382,7 +262,7 @@ func (ob *Outbox) SendWord(slot int, w uint64) {
 }
 
 // BroadcastWord emits w on every incident slot of the sending node —
-// the whole-row fast path of the typed lane: one pass over the
+// the whole-row fast path of the lane: one pass over the
 // sender's slot row, no per-letter lookup and no double-send
 // bookkeeping (it overwrites anything already sent this round on
 // those slots; a second BroadcastWord in one Step simply wins).
@@ -399,174 +279,7 @@ func (ob *Outbox) BroadcastWord(w uint64) {
 	}
 }
 
-// Run executes an engine algorithm and extracts the per-node outputs.
-func (e *Engine) Run(ids []int, algo EngineAlgo, maxRounds int) ([]Output, int, error) {
-	states, rounds, err := e.RunStates(ids, algo, maxRounds)
-	if err != nil {
-		return nil, 0, err
-	}
-	outs := make([]Output, len(states))
-	for v, st := range states {
-		outs[v] = algo.Out(st)
-	}
-	return outs, rounds, nil
-}
-
-// RunStates executes an engine algorithm on the host and returns the
-// final per-node states and the number of rounds, failing if some
-// node has not halted after maxRounds. The returned slice is owned by
-// the engine and is overwritten by its next run.
-func (e *Engine) RunStates(ids []int, algo EngineAlgo, maxRounds int) ([]any, int, error) {
-	states, rounds, _, err := e.runStates(ids, algo, maxRounds, nil)
-	return states, rounds, err
-}
-
-// RunStatesFaulty is RunStates executing under a fault schedule: the
-// schedule's Fate is applied to every delivery at inbox-compaction
-// time (so drops, duplicates and reorderings happen between
-// Outbox.Send and the receiver's Step), its State gates which nodes
-// step each round (down nodes skip the round silently; crashed nodes
-// leave the worklist for good), and the returned FaultReport counts
-// what actually happened. A nil schedule is the clean profile: the
-// run takes the engine's exact clean path and the report is all-zero.
-// Crashed nodes keep the last state they reached; callers decide how
-// to treat their outputs (FaultReport.CrashedNode).
-func (e *Engine) RunStatesFaulty(ids []int, algo EngineAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	states, rounds, rep, err := e.runStates(ids, algo, maxRounds, sched)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if rep == nil {
-		rep = &FaultReport{Profile: "clean"}
-	}
-	return states, rounds, rep, nil
-}
-
-// runStates initialises the untyped state column and dispatches the
-// clean or faulty step path into the shared round-loop core.
-func (e *Engine) runStates(ids []int, algo EngineAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	if ids != nil && len(ids) != e.n {
-		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
-	}
-	for v := 0; v < e.n; v++ {
-		info := NodeInfo{ID: -1, Letters: e.info[e.off[v]:e.off[v+1]:e.off[v+1]]}
-		if ids != nil {
-			info.ID = ids[v]
-		}
-		e.states[v] = algo.Init(info)
-		e.halted[v] = false
-		e.errs[v] = nil
-	}
-	if e.ck != nil {
-		if algo.EncodeState == nil {
-			return nil, 0, nil, fmt.Errorf("model: checkpointing armed but algorithm has no EncodeState codec")
-		}
-		e.ckTyped = false
-		e.ckEncStates = func(dst []byte) []byte {
-			for v := 0; v < e.n; v++ {
-				dst = algo.EncodeState(dst, e.states[v])
-			}
-			return dst
-		}
-		e.ckEncData = algo.EncodeData
-	}
-	if snap := e.resume; snap != nil {
-		e.resume = nil
-		if err := e.restoreUntyped(snap, algo, sched != nil); err != nil {
-			e.failedResume(snap)
-			return nil, 0, nil, err
-		}
-	}
-	step, prep := e.stepAny(algo), noScratch
-	if sched != nil {
-		step = e.stepAnyFaulty(algo, sched)
-		prep = func(ob *Outbox) { ob.fdense = make([]Msg, 2*int(e.maxSlots)) }
-	}
-	rounds, rep, err := e.runCore(step, prep, sched, maxRounds)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return e.states, rounds, rep, nil
-}
-
-// noScratch is the prep hook of paths that need no per-worker
-// compaction scratch (the clean untyped path compacts into the
-// engine's global dense arena).
-func noScratch(*Outbox) {}
-
-// stepAny is the clean untyped step: compact the node's live slots
-// into its disjoint region of the global dense arena, then Step. The
-// current round's arena and stamp are recovered from the Outbox (the
-// next-round arena is nxt^1 and next-round stamps are want, so this
-// round reads arena nxt^1 at stamp want-1).
-func (e *Engine) stepAny(algo EngineAlgo) func(int, *Outbox) {
-	return func(v int, ob *Outbox) {
-		lo, hi := e.off[v], e.off[v+1]
-		cur, want := ob.nxt^1, ob.want-1
-		st := e.stamp[cur]
-		buf := e.buf[cur]
-		k := lo
-		for s := lo; s < hi; s++ {
-			if st[s] == want {
-				e.dense[k] = buf[s]
-				k++
-			}
-		}
-		ob.v = int32(v)
-		ns, done := algo.Step(e.states[v], ob.round, e.dense[lo:k], ob)
-		e.states[v] = ns
-		e.halted[v] = done
-	}
-}
-
-// stepAnyFaulty is stepAny with the schedule interposed between the
-// plane and the receiver: liveness gating, per-delivery fates
-// (compacted into the worker's double-width fdense scratch so
-// duplicates fit), and adversarial inbox permutation.
-func (e *Engine) stepAnyFaulty(algo EngineAlgo, sched Schedule) func(int, *Outbox) {
-	return func(v int, ob *Outbox) {
-		round := ob.round
-		switch sched.State(round, int32(v)) {
-		case StateDown:
-			ob.downSteps++
-			return
-		case StateCrashed:
-			return
-		}
-		lo, hi := e.off[v], e.off[v+1]
-		cur, want := ob.nxt^1, ob.want-1
-		st := e.stamp[cur]
-		buf := e.buf[cur]
-		k := 0
-		for s := lo; s < hi; s++ {
-			if st[s] != want {
-				continue
-			}
-			switch sched.Fate(round, s) {
-			case Drop:
-				ob.dropped++
-				continue
-			case Duplicate:
-				ob.duped++
-				ob.fdense[k] = buf[s]
-				k++
-			}
-			ob.fdense[k] = buf[s]
-			k++
-		}
-		inbox := ob.fdense[:k]
-		if seed := sched.Reorder(round, int32(v)); seed != 0 && len(inbox) > 1 {
-			shuffleMsgs(inbox, seed)
-			ob.reordered++
-		}
-		ob.v = int32(v)
-		ns, done := algo.Step(e.states[v], round, inbox, ob)
-		e.states[v] = ns
-		e.halted[v] = done
-	}
-}
-
-// runCore is the round-loop machinery shared by the untyped and typed
+// runCore is the round-loop machinery shared by the clean and faulty
 // paths: active-worklist management (including schedule-driven crash
 // removal), persistent workers with dynamic chunk handoff, the
 // per-round barrier, error surfacing, and fault-report assembly. step

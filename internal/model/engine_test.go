@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -66,7 +67,47 @@ func floodMaxAlgo() RoundAlgo {
 	}
 }
 
-// TestEngineDifferentialFlood pins RunRounds (engine) against
+// floodWordAlgo is floodMaxAlgo packed into one uint64 per node (best
+// id in the high 32 bits, own id in bits 8..31, remaining ticks in the
+// low byte): the WordAlgo twin of the reference workload.
+func floodWordAlgo() WordAlgo {
+	return WordAlgo{
+		Init: func(v int, info NodeInfo) uint64 {
+			id := uint64(info.ID)
+			return id<<32 | id<<8 | uint64(1+info.ID%4)
+		},
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			best, ticks := *st>>32, *st&0xff
+			for _, m := range inbox {
+				best = max(best, m.W)
+			}
+			*st = best<<32 | *st&0xffffff00 | ticks
+			if ticks == 0 {
+				return true
+			}
+			*st--
+			out.BroadcastWord(best)
+			return false
+		},
+		Out: func(st *uint64) Output { return Output{Member: *st>>32 > *st>>8&0xffffff} },
+	}
+}
+
+// referenceOutputs runs floodMaxAlgo through the reference loop.
+func referenceOutputs(t *testing.T, h *Host, ids []int) ([]Output, int) {
+	t.Helper()
+	states, rounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	outs := make([]Output, len(states))
+	for v, st := range states {
+		outs[v] = floodMaxAlgo().Out(st)
+	}
+	return outs, rounds
+}
+
+// TestEngineDifferentialFlood pins the packed word-lane flood against
 // RunRoundsReference: outputs and round counts byte-identical on every
 // differential host, at parallelism 1 and 8.
 func TestEngineDifferentialFlood(t *testing.T) {
@@ -74,17 +115,10 @@ func TestEngineDifferentialFlood(t *testing.T) {
 		n := h.G.N()
 		rng := rand.New(rand.NewSource(int64(n)))
 		ids := rng.Perm(4 * n)[:n]
-		refStates, refRounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		refOuts := make([]Output, n)
-		for v, st := range refStates {
-			refOuts[v] = floodMaxAlgo().Out(st)
-		}
+		refOuts, refRounds := referenceOutputs(t, h, ids)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
+			outs, rounds, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: engine: %v", name, p, err)
@@ -99,8 +133,8 @@ func TestEngineDifferentialFlood(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialGather pins the engine against the reference
-// on GatherViews: identical interned trees (pointer equality) and
+// TestEngineDifferentialGather pins Gather against the reference loop
+// running GatherViews: identical interned trees (pointer equality) and
 // identical round counts, across radii and parallelism.
 func TestEngineDifferentialGather(t *testing.T) {
 	for name, h := range engineHosts(t) {
@@ -111,16 +145,16 @@ func TestEngineDifferentialGather(t *testing.T) {
 			}
 			for _, p := range []int{1, 8} {
 				old := par.Set(p)
-				states, rounds, err := RunRoundsStates(h, nil, GatherViews(r), r+2)
+				trees, rounds, rep, err := Gather(context.Background(), h, r, r+2, nil)
 				par.Set(old)
 				if err != nil {
 					t.Fatalf("%s r=%d p=%d: engine: %v", name, r, p, err)
 				}
-				if rounds != refRounds {
-					t.Fatalf("%s r=%d p=%d: %d rounds, reference %d", name, r, p, rounds, refRounds)
+				if rounds != refRounds || rep.Profile != "clean" {
+					t.Fatalf("%s r=%d p=%d: %d rounds (%s), reference %d", name, r, p, rounds, rep.Profile, refRounds)
 				}
-				for v := range states {
-					if states[v].(*GatherState).Tree != refStates[v].(*GatherState).Tree {
+				for v := range trees {
+					if trees[v] != refStates[v].(*GatherState).Tree {
 						t.Fatalf("%s r=%d p=%d node %d: gathered tree differs", name, r, p, v)
 					}
 				}
@@ -160,130 +194,106 @@ func TestSimulatePORoundsDifferential(t *testing.T) {
 func TestEngineInboxLetterOrder(t *testing.T) {
 	defer par.Set(par.Set(8))
 	h := HostFromGraph(graph.Torus(6, 6))
-	ordered := RoundAlgo{
-		Init: func(info NodeInfo) any { ls := info.Letters; return &ls },
-		Step: func(state any, round int, inbox []Msg) (any, []Msg, bool) {
+	ordered := TypedAlgo[[]view.Letter]{
+		Init: func(v int, info NodeInfo) []view.Letter { return info.Letters },
+		Step: func(ls *[]view.Letter, round int, inbox []WordMsg, out *Outbox) bool {
 			if round == 1 {
 				for i := 1; i < len(inbox); i++ {
-					if !inbox[i-1].L.Less(inbox[i].L) {
-						panic(fmt.Sprintf("inbox out of letter order: %v after %v", inbox[i].L, inbox[i-1].L))
+					if a, b := (*ls)[inbox[i-1].Slot], (*ls)[inbox[i].Slot]; !a.Less(b) {
+						panic(fmt.Sprintf("inbox out of letter order: %v after %v", b, a))
 					}
 				}
-				return state, nil, true
+				return true
 			}
-			out := make([]Msg, 0, 4)
-			for _, l := range *state.(*[]view.Letter) {
-				out = append(out, Msg{L: l, Data: round})
-			}
-			return state, out, false
+			out.BroadcastWord(uint64(round))
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*[]view.Letter) Output { return Output{} },
 	}
-	if _, _, err := RunRounds(h, nil, ordered, 4); err != nil {
+	if _, _, err := RunRoundsTyped(h, nil, ordered, 4); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEngineErrorsMatchReference: the error paths produce the
-// reference's exact messages, deterministically.
+// TestEngineErrorsMatchReference: the error paths the engine shares
+// with the reference loop produce its exact messages.
 func TestEngineErrorsMatchReference(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
-	badLetter := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 99}}}, false
-		},
-		Out: func(any) Output { return Output{} },
-	}
-	_, _, errE := RunRounds(h, nil, badLetter, 3)
-	_, _, errR := RunRoundsReference(h, nil, badLetter, 3)
-	if errE == nil || errR == nil || errE.Error() != errR.Error() {
-		t.Errorf("absent-letter errors differ: %v vs %v", errE, errR)
-	}
-
 	never := RoundAlgo{
 		Init: func(NodeInfo) any { return nil },
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, errE = RunRounds(h, nil, never, 4)
-	_, _, errR = RunRoundsReference(h, nil, never, 4)
+	neverWord := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
+		Out:  func(*uint64) Output { return Output{} },
+	}
+	_, _, errE := RunRoundsTyped(h, nil, neverWord, 4)
+	_, _, errR := RunRoundsReference(h, nil, never, 4)
 	if errE == nil || errR == nil || errE.Error() != errR.Error() {
 		t.Errorf("non-halt errors differ: %v vs %v", errE, errR)
 	}
+	_, _, errE = RunRoundsTyped(h, []int{1, 2}, neverWord, 4)
+	_, _, errR = RunRoundsReference(h, []int{1, 2}, never, 4)
+	if errE == nil || errR == nil || errE.Error() != errR.Error() {
+		t.Errorf("ids-length errors differ: %v vs %v", errE, errR)
+	}
 }
 
-// TestEngineDuplicateSend: the engine's one-message-per-letter
-// contract is enforced with a clear error.
+// TestEngineDuplicateSend: the engine's one-message-per-slot contract
+// is enforced with a clear error.
 func TestEngineDuplicateSend(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(4))
-	dup := RoundAlgo{
-		Init: func(info NodeInfo) any { return info.Letters[0] },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			l := st.(view.Letter)
-			return st, []Msg{{L: l, Data: 1}, {L: l, Data: 2}}, false
+	dup := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(0, 1)
+			out.SendWord(0, 2)
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, err := RunRounds(h, nil, dup, 3); err == nil {
+	if _, _, err := RunRoundsTyped(h, nil, dup, 3); err == nil {
 		t.Error("duplicate send accepted")
 	}
 }
 
-// pulseAlgo is the zero-allocation steady-state workload: every node
-// broadcasts a pre-boxed payload on all its letters for a fixed
-// number of rounds. States are pre-allocated and handed out by the
-// sequential Init, so steady-state rounds allocate nothing.
-type pulseState struct {
-	letters []view.Letter
-	left    int
-}
-
-func pulseAlgo(states []pulseState, rounds int) (EngineAlgo, func()) {
-	next := 0
-	reset := func() {
-		next = 0
-		for i := range states {
-			states[i].left = rounds
-		}
-	}
-	algo := EngineAlgo{
-		Init: func(info NodeInfo) any {
-			s := &states[next]
-			next++
-			s.letters = info.Letters
-			return s
+// slotPulseAlgo is the checked-send steady-state workload: every node
+// sends the remaining round count on each of its slots through
+// SendWord for a fixed number of rounds.
+func slotPulseAlgo(rounds int) TypedAlgo[pulseState] {
+	return TypedAlgo[pulseState]{
+		Init: func(v int, info NodeInfo) pulseState {
+			return pulseState{slots: len(info.Letters), left: rounds}
 		},
-		Step: func(state any, round int, inbox []Msg, out *Outbox) (any, bool) {
-			s := state.(*pulseState)
+		Step: func(s *pulseState, round int, inbox []WordMsg, out *Outbox) bool {
 			if s.left == 0 {
-				return s, true
+				return true
 			}
 			s.left--
-			for _, l := range s.letters {
-				out.Send(l, s)
+			for i := 0; i < s.slots; i++ {
+				out.SendWord(i, uint64(s.left))
 			}
-			return s, false
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*pulseState) Output { return Output{} },
 	}
-	return algo, reset
 }
 
+type pulseState struct{ slots, left int }
+
 // TestEngineSteadyStateAllocs: after arena warm-up, a steady-state
-// round allocates nothing. Measured as the allocation difference
-// between a long run and a short run on one engine (per-run setup —
-// Init, letter slices — cancels exactly).
+// round of checked sends allocates nothing. Measured as the allocation
+// difference between a long run and a short run on one engine (per-run
+// setup — closures, per-worker scratch — cancels exactly).
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	e := NewEngine(h)
-	states := make([]pulseState, h.G.N())
+	te := NewTypedEngine[pulseState](h)
 	runFor := func(rounds int) func() {
 		return func() {
-			algo, reset := pulseAlgo(states, rounds)
-			reset()
-			if _, _, err := e.RunStates(nil, algo, rounds+2); err != nil {
+			if _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,41 +306,40 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAfterError: a run that fails mid-way (absent letter,
+// TestEngineReuseAfterError: a run that fails mid-way (absent slot,
 // non-halt) must not poison the plane — the tick advances past every
 // stamp the failed run wrote, so the next run on the same engine
 // reads no stale messages.
 func TestEngineReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
-	e := NewEngine(h)
-	bad := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 99}}}, false
+	e := NewWordEngine(h)
+	bad := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(99, 1)
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	never := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 0}}}, false
+	never := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(0, 1<<40)
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
 	rng := rand.New(rand.NewSource(9))
 	ids := rng.Perm(24)[:6]
-	want, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantRounds := referenceOutputs(t, h, ids)
 	for i := 0; i < 3; i++ {
-		if _, _, err := e.RunStates(ids, bad.engine(), 4); err == nil {
-			t.Fatal("absent letter accepted")
+		if _, _, err := e.RunStates(ids, bad, 4); err == nil {
+			t.Fatal("absent slot accepted")
 		}
-		if _, _, err := e.RunStates(ids, never.engine(), 4); err == nil {
+		if _, _, err := e.RunStates(ids, never, 4); err == nil {
 			t.Fatal("non-halting run accepted")
 		}
-		outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatalf("run after errors: %v", err)
 		}
@@ -344,16 +353,16 @@ func TestEngineReuseAfterError(t *testing.T) {
 // arenas are never cleared) with results identical to fresh engines.
 func TestEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewEngine(h)
+	e := NewWordEngine(h)
 	rng := rand.New(rand.NewSource(3))
 	ids := rng.Perm(40)[:10]
 	var first []Output
 	for i := 0; i < 5; i++ {
-		outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
+		fresh, freshRounds, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the fault-injection scheduler layer of the round
-// engine: a Schedule interposed between Outbox.Send and inbox
+// engine: a Schedule interposed between the send and inbox
 // compaction that can drop, duplicate and adversarially reorder
 // messages per (arc, round), crash nodes permanently (crash-stop) or
 // transiently (crash-recover), and churn nodes in and out of the
@@ -576,19 +576,8 @@ func (p *fparams) unusedErr() error {
 	return fmt.Errorf("unused arguments %v", bad)
 }
 
-// shuffleMsgs applies the seeded Fisher–Yates permutation — the
+// shuffleWordMsgs applies the seeded Fisher–Yates permutation — the
 // adversarial reordering — in place.
-func shuffleMsgs(ms []Msg, seed uint64) {
-	x := seed
-	for i := len(ms) - 1; i > 0; i-- {
-		x = mix(x, uint64(i), 0)
-		ms[i], ms[x%uint64(i+1)] = ms[x%uint64(i+1)], ms[i]
-	}
-}
-
-// shuffleWordMsgs is shuffleMsgs for the typed word lane: the same
-// seed permutes a same-length inbox identically, so typed and untyped
-// runs see their messages in the same adversarial order.
 func shuffleWordMsgs(ms []WordMsg, seed uint64) {
 	x := seed
 	for i := len(ms) - 1; i > 0; i-- {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -111,22 +112,15 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 // TestCleanFaultyPinsReference is the satellite differential pin: a
-// RunStatesFaulty run with a nil (clean) schedule produces outputs,
-// round counts and error strings byte-identical to
-// RunRoundsReference, and its report is all-zero.
+// faulty-entry run with a nil (clean) schedule produces outputs, round
+// counts and error strings byte-identical to RunRoundsReference, and
+// its report is all-zero.
 func TestCleanFaultyPinsReference(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
-		refStates, refRounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		refOuts := make([]Output, n)
-		for v, st := range refStates {
-			refOuts[v] = floodMaxAlgo().Out(st)
-		}
-		outs, rounds, rep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 16, nil)
+		refOuts, refRounds := referenceOutputs(t, h, ids)
+		outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 16, nil)
 		if err != nil {
 			t.Fatalf("%s: faulty-clean: %v", name, err)
 		}
@@ -141,76 +135,45 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 
 	// Error strings: engine (clean schedule) == reference, byte for byte.
 	h := HostFromGraph(graph.Cycle(5))
-	badLetter := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 99}}}, false
-		},
-		Out: func(any) Output { return Output{} },
-	}
-	_, _, _, errF := RunRoundsFaulty(h, nil, badLetter, 3, nil)
-	_, _, errR := RunRoundsReference(h, nil, badLetter, 3)
-	if errF == nil || errR == nil || errF.Error() != errR.Error() {
-		t.Errorf("absent-letter errors differ: %v vs %v", errF, errR)
-	}
-}
-
-// TestErrorFormats asserts the exact error formats: every engine error
-// names the round, and faulty runs append the profile descriptor.
-func TestErrorFormats(t *testing.T) {
-	h := HostFromGraph(graph.Cycle(5))
-	badAt := func(round int) RoundAlgo {
-		return RoundAlgo{
-			Init: func(info NodeInfo) any { ls := info.Letters; return &ls },
-			Step: func(st any, r int, inbox []Msg) (any, []Msg, bool) {
-				if r == round {
-					return st, []Msg{{L: view.Letter{Label: 99}}}, false
-				}
-				return st, []Msg{{L: (*st.(*[]view.Letter))[0], Data: r}}, false
-			},
-			Out: func(any) Output { return Output{} },
-		}
-	}
-	_, _, err := RunRounds(h, nil, badAt(2), 6)
-	want := "model: round 2: node 0 sent on absent letter 99"
-	if err == nil || err.Error() != want {
-		t.Errorf("clean absent-letter error = %v, want %q", err, want)
-	}
-	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err = RunRoundsFaulty(h, nil, badAt(2), 6, sched)
-	want = "model: round 2 [lossy:p=0]: node 0 sent on absent letter 99"
-	if err == nil || err.Error() != want {
-		t.Errorf("faulty absent-letter error = %v, want %q", err, want)
-	}
-
 	never := RoundAlgo{
 		Init: func(NodeInfo) any { return nil },
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, err = RunRounds(h, nil, never, 4)
-	want = "model: node 0 did not halt within 4 rounds"
-	if err == nil || err.Error() != want {
-		t.Errorf("clean non-halt error = %v, want %q", err, want)
+	_, _, _, errF := RunRoundsTypedFaulty(h, nil, typedPulseAlgo(99), 3, nil)
+	_, _, errR := RunRoundsReference(h, nil, never, 3)
+	if errF == nil || errR == nil || errF.Error() != errR.Error() {
+		t.Errorf("non-halt errors differ: %v vs %v", errF, errR)
 	}
-	_, _, _, err = RunRoundsFaulty(h, nil, never, 4, sched)
-	want = "model: node 0 did not halt within 4 rounds [lossy:p=0]"
+}
+
+// TestErrorFormats asserts the exact error formats of faulty runs:
+// every engine error names the round or the horizon and appends the
+// profile descriptor.
+func TestErrorFormats(t *testing.T) {
+	h := HostFromGraph(graph.Cycle(5))
+	sched := MustParseProfile("lossy:p=0").New(h, 1)
+	_, _, _, err := RunRoundsTypedFaulty(h, nil, typedPulseAlgo(99), 4, sched)
+	want := "model: node 0 did not halt within 4 rounds [lossy:p=0]"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty non-halt error = %v, want %q", err, want)
 	}
 
-	dup := RoundAlgo{
-		Init: func(info NodeInfo) any { return info.Letters[0] },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			l := st.(view.Letter)
-			return st, []Msg{{L: l, Data: 1}, {L: l, Data: 2}}, false
+	dupAt := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(1, 0)
+			if r == 3 {
+				out.SendWord(1, 0)
+			}
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, err = RunRounds(h, nil, dup, 3)
-	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0: node ") ||
-		!strings.Contains(err.Error(), "sent twice on letter") {
-		t.Errorf("double-send error lacks round prefix: %v", err)
+	_, _, _, err = RunRoundsTypedFaulty(h, nil, dupAt, 6, sched)
+	if err == nil || !strings.HasPrefix(err.Error(), "model: round 3 [lossy:p=0]: node ") ||
+		!strings.Contains(err.Error(), "sent twice on slot 1") {
+		t.Errorf("faulty double-send error lacks round/profile prefix: %v", err)
 	}
 }
 
@@ -231,12 +194,12 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 		var results [2]result
 		for i, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, rep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, sched)
+			outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v (reproducer: seed=99, profile=%s)", desc, p, err, desc)
 			}
-			results[i] = result{outs: append([]Output(nil), outs...), rounds: rounds, rep: *rep}
+			results[i] = result{outs: outs, rounds: rounds, rep: *rep}
 		}
 		if results[0].rounds != results[1].rounds ||
 			!reflect.DeepEqual(results[0].outs, results[1].outs) ||
@@ -251,7 +214,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 func TestCrashProfiles(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(64))
 	ids := rand.New(rand.NewSource(5)).Perm(256)[:64]
-	_, _, rep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
+	_, _, rep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +231,7 @@ func TestCrashProfiles(t *testing.T) {
 		t.Errorf("Crashed marks %d nodes, want 7", count)
 	}
 
-	_, _, rep, err = RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
+	_, _, rep, err = RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +253,7 @@ func TestFaultCounters(t *testing.T) {
 	run := func(desc string) *FaultReport {
 		t.Helper()
 		sched := MustParseProfile(desc).New(h, 11)
-		_, _, rep, err := RunRoundsFaulty(h, nil, GatherViews(3), 300, sched)
+		_, _, rep, err := Gather(context.Background(), h, 3, 300, sched)
 		if err != nil {
 			t.Fatalf("%s: %v (reproducer: seed=11, profile=%s)", desc, err, desc)
 		}
@@ -350,48 +313,43 @@ func TestSimulatePORoundsFaulty(t *testing.T) {
 // seed.
 func TestLossyGatherDegrades(t *testing.T) {
 	h := HostFromGraph(graph.Torus(8, 8))
-	sched := MustParseProfile("lossy:p=0.5").New(h, 2)
-	states, _, _, err := NewEngine(h).RunStatesFaulty(nil, GatherViews(2).engine(), 300, sched)
+	ctx := context.Background()
+	lossy, _, _, err := Gather(ctx, h, 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
 	if err != nil {
 		t.Fatalf("lossy gather: %v", err)
 	}
-	clean, _, err := RunRoundsStates(h, nil, GatherViews(2), 4)
+	clean, _, _, err := Gather(ctx, h, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	degraded := 0
-	for v := range states {
-		if states[v].(*GatherState).Tree != clean[v].(*GatherState).Tree {
+	for v := range lossy {
+		if lossy[v] != clean[v] {
 			degraded++
 		}
 	}
 	if degraded == 0 {
 		t.Error("p=0.5 loss degraded no view at all")
 	}
-	again, _, _, err2 := NewEngine(h).RunStatesFaulty(nil, GatherViews(2).engine(), 300, MustParseProfile("lossy:p=0.5").New(h, 2))
-	if err2 != nil {
-		t.Fatal(err2)
+	again, _, _, err := Gather(ctx, h, 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := range states {
-		if states[v].(*GatherState).Tree != again[v].(*GatherState).Tree {
-			t.Fatalf("node %d: lossy gather not reproducible from seed", v)
-		}
+	if !reflect.DeepEqual(lossy, again) {
+		t.Fatal("lossy gather not reproducible from seed")
 	}
 }
 
-// TestEngineSteadyStateAllocsFaultyClean: the scheduler hook is now
-// always installed; a clean-profile run through RunStatesFaulty still
-// allocates nothing per steady-state round.
+// TestEngineSteadyStateAllocsFaultyClean: a clean-profile run through
+// the faulty entry point still allocates nothing per steady-state
+// round.
 func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	e := NewEngine(h)
-	states := make([]pulseState, h.G.N())
+	te := NewTypedEngine[pulseState](h)
 	runFor := func(rounds int) func() {
 		return func() {
-			algo, reset := pulseAlgo(states, rounds)
-			reset()
-			if _, _, _, err := e.RunStatesFaulty(nil, algo, rounds+2, nil); err != nil {
+			if _, _, _, err := te.RunStatesFaulty(nil, slotPulseAlgo(rounds), rounds+2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -406,21 +364,18 @@ func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 
 // TestFaultyEngineReuse: one engine alternates clean and faulty runs
 // without cross-contamination — the clean results stay byte-identical
-// to a never-faulted engine.
+// to the reference.
 func TestFaultyEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewEngine(h)
+	e := NewWordEngine(h)
 	ids := rand.New(rand.NewSource(3)).Perm(40)[:10]
-	want, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantRounds := referenceOutputs(t, h, ids)
 	sched := MustParseProfile("lossy:p=0.4").New(h, 8)
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := e.RunStatesFaulty(ids, floodMaxAlgo().engine(), 300, sched); err != nil {
+		if _, _, _, err := e.RunStatesFaulty(ids, floodWordAlgo(), 300, sched); err != nil {
 			t.Fatalf("faulty run %d: %v", i, err)
 		}
-		outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatalf("clean run %d: %v", i, err)
 		}
@@ -430,34 +385,30 @@ func TestFaultyEngineReuse(t *testing.T) {
 	}
 }
 
-// TestShuffleMsgs: the seeded permutation is deterministic and
+// TestShuffleMsgs: the seeded inbox permutation is deterministic and
 // actually permutes.
 func TestShuffleMsgs(t *testing.T) {
-	mk := func() []Msg {
-		ms := make([]Msg, 8)
+	mk := func() []WordMsg {
+		ms := make([]WordMsg, 8)
 		for i := range ms {
-			ms[i].Data = i
+			ms[i] = WordMsg{W: uint64(i), Slot: int32(i)}
 		}
 		return ms
 	}
 	a, b := mk(), mk()
-	shuffleMsgs(a, 12345)
-	shuffleMsgs(b, 12345)
+	shuffleWordMsgs(a, 12345)
+	shuffleWordMsgs(b, 12345)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed shuffled differently")
 	}
 	moved := false
-	for i := range a {
-		if a[i].Data.(int) != i {
-			moved = true
-		}
+	seen := map[uint64]bool{}
+	for i, m := range a {
+		moved = moved || m.W != uint64(i)
+		seen[m.W] = true
 	}
 	if !moved {
 		t.Error("shuffle was the identity for seed 12345")
-	}
-	seen := map[int]bool{}
-	for _, m := range a {
-		seen[m.Data.(int)] = true
 	}
 	if len(seen) != 8 {
 		t.Errorf("shuffle lost elements: %v", a)

@@ -315,49 +315,46 @@ func TestSimulatePOMatchesRunPO(t *testing.T) {
 	}
 }
 
+// TestRunRoundsHaltFailure: a non-halting algorithm fails both the
+// reference loop and the engine.
 func TestRunRoundsHaltFailure(t *testing.T) {
 	never := RoundAlgo{
 		Init: func(NodeInfo) any { return nil },
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	if _, _, err := RunRounds(cycleHost(3), nil, never, 5); err == nil {
-		t.Error("non-halting algorithm accepted")
+	if _, _, err := RunRoundsStates(cycleHost(3), nil, never, 5); err == nil {
+		t.Error("non-halting algorithm accepted by the reference loop")
+	}
+	if _, _, err := RunRoundsTyped(cycleHost(3), nil, typedPulseAlgo(99), 5); err == nil {
+		t.Error("non-halting algorithm accepted by the engine")
 	}
 }
 
 func TestRunRoundsIDsDelivered(t *testing.T) {
 	// Each node learns its neighbours' ids in one round and reports
-	// whether it is a local maximum.
-	algo := RoundAlgo{
-		Init: func(info NodeInfo) any {
-			return map[string]any{"id": info.ID, "letters": info.Letters, "max": false}
-		},
-		Step: func(state any, round int, inbox []Msg) (any, []Msg, bool) {
-			s := state.(map[string]any)
+	// whether it is a local maximum (state: id<<1 | max bit).
+	algo := WordAlgo{
+		Init: func(v int, info NodeInfo) uint64 { return uint64(info.ID) << 1 },
+		Step: func(s *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 			if round == 0 {
-				var out []Msg
-				for _, l := range s["letters"].([]view.Letter) {
-					out = append(out, Msg{L: l, Data: s["id"].(int)})
-				}
-				return s, out, false
+				out.BroadcastWord(*s >> 1)
+				return false
 			}
-			mx := true
+			mx := uint64(1)
 			for _, m := range inbox {
-				if m.Data.(int) > s["id"].(int) {
-					mx = false
+				if m.W > *s>>1 {
+					mx = 0
 				}
 			}
-			s["max"] = mx
-			return s, nil, true
+			*s |= mx
+			return true
 		},
-		Out: func(state any) Output {
-			return Output{Member: state.(map[string]any)["max"].(bool)}
-		},
+		Out: func(s *uint64) Output { return Output{Member: *s&1 == 1} },
 	}
 	h := cycleHost(6)
 	ids := []int{5, 9, 1, 7, 3, 8}
-	outs, rounds, err := RunRounds(h, ids, algo, 10)
+	outs, rounds, err := RunRoundsTyped(h, ids, algo, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

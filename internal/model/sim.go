@@ -43,79 +43,17 @@ type RoundAlgo struct {
 	Out func(state any) Output
 }
 
-// RunRounds executes a round algorithm on the host. In the ID model
-// pass per-node identifiers; pass nil for anonymous (PO) execution.
-// It returns the per-node outputs and the number of rounds executed,
-// failing if some node has not halted after maxRounds.
-//
-// Execution goes through the batched message-plane Engine (worker-
-// parallel, active-set worklist); outputs and round counts are
-// byte-identical to RunRoundsReference, which the differential tests
-// pin down. Two engine-contract differences from the reference loop:
-// the inbox slice handed to Step is only valid during the call, and a
-// node may send at most one message per letter per round.
-func RunRounds(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]Output, int, error) {
-	states, rounds, err := RunRoundsStates(h, ids, algo, maxRounds)
-	if err != nil {
-		return nil, 0, err
-	}
-	outs := make([]Output, len(states))
-	for v, st := range states {
-		outs[v] = algo.Out(st)
-	}
-	return outs, rounds, nil
-}
-
-// RunRoundsStates is RunRounds exposing the final per-node states
-// instead of outputs.
+// RunRoundsStates runs a round algorithm on the host through the
+// reference loop and returns the final per-node states and the number
+// of rounds. In the ID model pass per-node identifiers; pass nil for
+// anonymous (PO) execution.
 func RunRoundsStates(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
-	return NewEngine(h).RunStates(ids, algo.engine(), maxRounds)
+	return RunRoundsReference(h, ids, algo, maxRounds)
 }
 
-// RunRoundsStatesCtx is RunRoundsStates under cooperative
-// cancellation (Engine.WithContext): the run aborts between rounds
-// once ctx is cancelled or past its deadline, returning an error that
-// wraps ctx.Err() and handing every reserved worker back to the
-// par budget. This is the service layer's deadline hook.
-func RunRoundsStatesCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
-	return NewEngine(h).WithContext(ctx).RunStates(ids, algo.engine(), maxRounds)
-}
-
-// RunRoundsStatesFaultyCtx is RunRoundsStatesFaulty under cooperative
-// cancellation; see RunRoundsStatesCtx.
-func RunRoundsStatesFaultyCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	return NewEngine(h).WithContext(ctx).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
-}
-
-// RunRoundsFaulty is RunRounds executing under a fault schedule (see
-// Schedule and ParseProfile): messages are dropped, duplicated and
-// reordered and nodes crashed or churned exactly as the schedule
-// decides, deterministically in (host, algo, seed, profile). The
-// FaultReport summarises the injected faults; crashed nodes'
-// outputs are extracted from the last state they reached, and
-// FaultReport.CrashedNode says which those are. A nil schedule runs
-// clean.
-func RunRoundsFaulty(h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
-	states, rounds, rep, err := NewEngine(h).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	outs := make([]Output, len(states))
-	for v, st := range states {
-		outs[v] = algo.Out(st)
-	}
-	return outs, rounds, rep, nil
-}
-
-// RunRoundsStatesFaulty is RunRoundsFaulty exposing the final
-// per-node states instead of outputs.
-func RunRoundsStatesFaulty(h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	return NewEngine(h).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
-}
-
-// RunRoundsReference is the retained sequential reference loop: per-
-// round append-built inboxes, every node visited every round. It is
-// the executable specification the Engine is differentially tested
+// RunRoundsReference is the sequential reference loop: per-round
+// append-built inboxes, every node visited every round. It is the
+// executable specification the Engine is differentially tested
 // against (and, unlike the engine, it permits duplicate sends on one
 // letter and hands out retainable inbox slices).
 func RunRoundsReference(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
@@ -361,49 +299,126 @@ func SimulatePO(h *Host, alg PO, kind Kind) (*Solution, error) {
 	return sol, nil
 }
 
-// SimulatePORounds is SimulatePO driven end-to-end through the round
-// engine: the radius-r view is gathered by actual message passing
-// (GatherViews executing on the Engine's message plane) and the
-// algorithm's view function is applied to the final states. By
-// equation (1) the result coincides with RunPO and SimulatePO — the
-// operational PO path at engine speed, differentially tested against
-// both.
-func SimulatePORounds(h *Host, alg PO, kind Kind) (*Solution, error) {
-	r := alg.Radius()
-	states, _, err := RunRoundsStates(h, nil, GatherViews(r), r+2)
-	if err != nil {
-		return nil, err
+// gatherState is the per-node state of Gather: the node's column
+// index and its letter-sorted slot letters. The view trees themselves
+// live in the run's tree columns, not in the state.
+type gatherState struct {
+	v       int32
+	letters []view.Letter
+}
+
+// gatherAlgo is GatherViews on the word lane. A tree does not fit in a
+// word, so the lane carries column handles: each message word is the
+// sender's node index, and the hash-consed trees live in two
+// round-parity columns (the round-r assembly reads trees[r&1], which
+// round r-1's senders wrote, and publishes into trees[(r+1)&1];
+// distinct parities keep same-round reads and writes on different
+// arrays, so workers never race). final[v] tracks node v's latest
+// assembled view for extraction after the run. Assembly order,
+// duplicate-letter dedup and the starved-inbox stale-view rule mirror
+// GatherViews exactly, which the differential tests pin down.
+func gatherAlgo(n, r int) (TypedAlgo[gatherState], []*view.Tree) {
+	var trees [2][]*view.Tree
+	trees[0] = make([]*view.Tree, n)
+	trees[1] = make([]*view.Tree, n)
+	final := make([]*view.Tree, n)
+	algo := TypedAlgo[gatherState]{
+		Init: func(v int, info NodeInfo) gatherState {
+			final[v] = view.Leaf()
+			return gatherState{v: int32(v), letters: info.Letters}
+		},
+		Step: func(st *gatherState, round int, inbox []WordMsg, out *Outbox) bool {
+			t := final[st.v]
+			if round > 0 && len(inbox) > 0 {
+				cur := trees[round&1]
+				children := make([]view.Child, 0, len(inbox))
+				for _, m := range inbox {
+					// Duplicated deliveries repeat a slot; keep the first.
+					l := st.letters[m.Slot]
+					dup := false
+					for _, c := range children {
+						if c.L == l {
+							dup = true
+							break
+						}
+					}
+					if !dup {
+						children = append(children, view.Child{L: l, T: pruneChild(cur[m.W], l.Inv())})
+					}
+				}
+				t = view.NewTree(children)
+				final[st.v] = t
+			}
+			if round >= r {
+				return true
+			}
+			trees[(round+1)&1][st.v] = t
+			out.BroadcastWord(uint64(st.v))
+			return false
+		},
+		Out: func(*gatherState) Output { return Output{} },
 	}
-	sol := NewSolution(kind, h.G.N())
-	for v, st := range states {
-		if err := applyPOOut(sol, h, v, alg.EvalPO(st.(*GatherState).Tree)); err != nil {
-			return nil, err
+	return algo, final
+}
+
+// Gather runs the radius-r full-information algorithm of GatherViews
+// on the engine's word lane and returns every node's gathered view,
+// the number of rounds and the fault report. A nil schedule is the
+// clean run, whose views equal view.Build's radius-r trees; under a
+// schedule each view is whatever fragments survived it, and crashed
+// nodes keep the last view they assembled. maxRounds bounds the run:
+// pass slack beyond r+2 when the schedule can keep nodes transiently
+// down, since a down node halts only at its first up round at or
+// after the radius. The run polls ctx at every round barrier.
+func Gather(ctx context.Context, h *Host, r, maxRounds int, sched Schedule) ([]*view.Tree, int, *FaultReport, error) {
+	algo, final := gatherAlgo(h.G.N(), r)
+	_, rounds, rep, err := TypedOn[gatherState](NewEngine(h).WithContext(ctx)).RunStatesFaulty(nil, algo, maxRounds, sched)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return final, rounds, rep, nil
+}
+
+// ViewTypes counts the distinct views among the nodes rep does not
+// mark crashed. Views are hash-consed, so distinct types are distinct
+// pointers.
+func ViewTypes(trees []*view.Tree, rep *FaultReport) int {
+	types := map[*view.Tree]bool{}
+	for v, t := range trees {
+		if !rep.CrashedNode(v) {
+			types[t] = true
 		}
 	}
-	return sol, nil
+	return len(types)
+}
+
+// SimulatePORounds is SimulatePO driven end-to-end through the round
+// engine: the radius-r view is gathered by actual message passing
+// (Gather) and the algorithm's view function is applied to the final
+// views. By equation (1) the result coincides with RunPO and
+// SimulatePO, which the differential tests pin down.
+func SimulatePORounds(h *Host, alg PO, kind Kind) (*Solution, error) {
+	sol, _, err := SimulatePORoundsFaulty(h, alg, kind, nil, alg.Radius()+2)
+	return sol, err
 }
 
 // SimulatePORoundsFaulty is SimulatePORounds under a fault schedule:
-// the gathering rounds run on the faulty message plane, so each
-// node's "view" is whatever fragments survived the schedule, and the
-// algorithm's view function is applied to those degraded views.
+// each node's "view" is whatever fragments survived the schedule, and
+// the algorithm's view function is applied to those degraded views.
 // Crashed nodes produce no output (their vertices and incident-edge
 // selections are simply absent from the solution). maxRounds bounds
-// the run — pass slack beyond Radius()+2 when the schedule can keep
-// nodes transiently down, since a down node halts only at its first
-// up round at or after the gathering radius.
+// the run as in Gather.
 func SimulatePORoundsFaulty(h *Host, alg PO, kind Kind, sched Schedule, maxRounds int) (*Solution, *FaultReport, error) {
-	r := alg.Radius()
-	states, _, rep, err := NewEngine(h).RunStatesFaulty(nil, GatherViews(r).engine(), maxRounds, sched)
+	trees, _, rep, err := Gather(context.Background(), h, alg.Radius(), maxRounds, sched)
 	if err != nil {
 		return nil, nil, err
 	}
 	sol := NewSolution(kind, h.G.N())
-	for v, st := range states {
+	for v, t := range trees {
 		if rep.CrashedNode(v) {
 			continue
 		}
-		if err := applyPOOut(sol, h, v, alg.EvalPO(st.(*GatherState).Tree)); err != nil {
+		if err := applyPOOut(sol, h, v, alg.EvalPO(t)); err != nil {
 			return nil, nil, err
 		}
 	}

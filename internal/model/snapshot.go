@@ -29,13 +29,10 @@ import (
 // runs are strictly below its tick, so a restored message can never
 // be confused with a leftover one.
 //
-// Codecs. The engine cannot serialise arbitrary any-typed states or
-// payloads, so checkpointable untyped algorithms carry self-delimiting
-// EncodeState/DecodeState (and EncodeData/DecodeData when they send
-// payloads) on their EngineAlgo; typed algorithms either provide
-// EncodeState/DecodeState on their TypedAlgo or — for the uint64 word
-// instantiation that every packed workload uses — get the fixed-width
-// little-endian default for free.
+// Codecs. Payloads are lane words and need no codec. States are either
+// encoded by the TypedAlgo's EncodeState/DecodeState or — for the
+// uint64 word instantiation that every packed workload uses — by the
+// fixed-width little-endian default.
 
 // SnapshotKind is the ckpt container kind of an encoded engine
 // Snapshot.
@@ -50,8 +47,6 @@ const snapshotVersion = 1
 // are deterministic functions of the run's state — no timestamps, no
 // map order — so equal run states encode to equal bytes.
 type Snapshot struct {
-	// Typed records which plane the run used (word lane vs any lane).
-	Typed bool
 	// Faulty records whether the run executed under a fault schedule.
 	Faulty bool
 	// N and Slots pin the plane geometry the snapshot belongs to.
@@ -72,12 +67,9 @@ type Snapshot struct {
 	Reordered  int64
 	DownSteps  int64
 	// Pending lists the plane slots holding messages for round Round,
-	// in increasing slot order; Words carries their payloads on typed
-	// runs, Data the concatenated self-delimiting encodings on untyped
-	// runs.
+	// in increasing slot order; Words carries their payloads.
 	Pending []int32
 	Words   []uint64
-	Data    []byte
 	// States is the encoded state column (per-node encodings
 	// concatenated in increasing node order).
 	States []byte
@@ -93,7 +85,9 @@ type Snapshot struct {
 func (s *Snapshot) Encode() []byte {
 	var w ckpt.Writer
 	w.Uvarint(snapshotVersion)
-	w.Bool(s.Typed)
+	// The encoding once also carried boxed-payload runs; the flag
+	// byte that told them apart is always set now.
+	w.Bool(true)
 	w.Bool(s.Faulty)
 	w.Uvarint(uint64(s.N))
 	w.Uvarint(uint64(s.Slots))
@@ -112,18 +106,16 @@ func (s *Snapshot) Encode() []byte {
 		w.Uvarint(uint64(p - prev)) // increasing order: deltas are non-negative
 		prev = p
 	}
-	if s.Typed {
-		for _, wd := range s.Words {
-			w.U64(wd)
-		}
-	} else {
-		w.Blob(s.Data)
+	for _, wd := range s.Words {
+		w.U64(wd)
 	}
 	w.Blob(s.States)
 	return w.Bytes()
 }
 
-// DecodeSnapshot parses an encoded snapshot payload.
+// DecodeSnapshot parses an encoded snapshot payload. It rejects
+// malformed or hostile input with an error and allocates no more than
+// a small multiple of len(payload).
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	r := ckpt.NewReader(payload)
 	if v := r.Uvarint(); v != snapshotVersion {
@@ -133,7 +125,9 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		return nil, r.Err()
 	}
 	s := &Snapshot{}
-	s.Typed = r.Bool()
+	if typed := r.Bool(); r.Err() == nil && !typed {
+		return nil, fmt.Errorf("model: snapshot of a boxed-payload run is no longer supported")
+	}
 	s.Faulty = r.Bool()
 	s.N = int(r.Uvarint())
 	s.Slots = int(r.Uvarint())
@@ -159,6 +153,12 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	if np > uint64(s.Slots) {
 		return nil, fmt.Errorf("model: snapshot pending count %d exceeds %d slots", np, s.Slots)
 	}
+	// Each pending entry occupies at least 9 bytes (a varint slot
+	// delta and a payload word): bound the count by what remains
+	// before trusting it with an allocation.
+	if np > uint64(r.Len())/9 {
+		return nil, fmt.Errorf("model: snapshot pending count %d exceeds the %d remaining bytes", np, r.Len())
+	}
 	s.Pending = make([]int32, np)
 	prev := int64(0)
 	for i := range s.Pending {
@@ -168,13 +168,9 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		}
 		s.Pending[i] = int32(prev)
 	}
-	if s.Typed {
-		s.Words = make([]uint64, np)
-		for i := range s.Words {
-			s.Words[i] = r.U64()
-		}
-	} else {
-		s.Data = r.Blob()
+	s.Words = make([]uint64, np)
+	for i := range s.Words {
+		s.Words[i] = r.U64()
 	}
 	s.States = r.Blob()
 	if r.Err() != nil {
@@ -220,8 +216,8 @@ func (ck *Checkpointer) due(nextRound int) bool {
 }
 
 // WithCheckpoints arms barrier checkpointing for this engine's
-// subsequent runs (typed, untyped, clean and faulty alike — the hook
-// lives in runCore). The run errors up front if the algorithm lacks
+// subsequent runs (clean and faulty alike — the hook lives in
+// runCore). The run errors up front if the algorithm lacks
 // the codecs checkpointing needs. A nil ck disarms. Returns e for
 // chaining.
 func (e *Engine) WithCheckpoints(ck *Checkpointer) *Engine {
@@ -235,7 +231,7 @@ func (e *Engine) WithCheckpoints(ck *Checkpointer) *Engine {
 // original run did), then states, halt/crash bitsets, pending
 // messages and fault counters are restored from the snapshot and the
 // round loop starts at snap.Round. The snapshot must match the run it
-// is applied to (plane geometry, typed/untyped, clean/faulty) and is
+// is applied to (plane geometry, clean/faulty) and is
 // consumed: resuming one snapshot twice is rejected. Returns e for
 // chaining.
 func (e *Engine) Resume(snap *Snapshot) *Engine {
@@ -263,7 +259,6 @@ func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
 // compaction), so every field it reads is quiescent.
 func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Outbox) error {
 	snap := &Snapshot{
-		Typed:  e.ckTyped,
 		Faulty: sched != nil,
 		N:      e.n,
 		Slots:  len(e.letters),
@@ -293,14 +288,7 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Ou
 			continue
 		}
 		snap.Pending = append(snap.Pending, int32(s))
-		if e.ckTyped {
-			snap.Words = append(snap.Words, e.wbuf[arena][s])
-		} else {
-			if e.ckEncData == nil {
-				return fmt.Errorf("model: checkpoint at round %d: algorithm has pending messages but no EncodeData codec", nextRound)
-			}
-			snap.Data = e.ckEncData(snap.Data, e.buf[arena][s].Data)
-		}
+		snap.Words = append(snap.Words, e.wbuf[arena][s])
 	}
 	snap.States = e.ckEncStates(nil)
 	if e.ck.Sink == nil {
@@ -316,13 +304,10 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Ou
 // restores the plane-level state every path shares: halt/crash
 // bitsets, pending-slot stamps (re-based on this engine's tick), the
 // resume round and the fault-counter bases. Payload and state-column
-// restoration stay with the typed/untyped callers.
-func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
+// restoration stay with the caller.
+func (e *Engine) restoreCommon(snap *Snapshot, faulty bool) error {
 	if snap.consumed {
 		return fmt.Errorf("model: resume: snapshot already resumed (double resume rejected)")
-	}
-	if snap.Typed != typed {
-		return fmt.Errorf("model: resume: snapshot is for the %s plane", planeName(snap.Typed))
 	}
 	if snap.Faulty != faulty {
 		if snap.Faulty {
@@ -360,13 +345,6 @@ func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
 	return nil
 }
 
-func planeName(typed bool) string {
-	if typed {
-		return "typed"
-	}
-	return "untyped"
-}
-
 // failedResume rolls back a partially applied restore so the engine
 // is safe for ordinary runs again: the resume cursor and report bases
 // are cleared and any restored stamps are zeroed (0 is never a live
@@ -381,47 +359,4 @@ func (e *Engine) failedResume(snap *Snapshot) {
 			st[s] = 0
 		}
 	}
-}
-
-// restoreUntyped restores an untyped run from snap: the shared plane
-// state, then the state column and pending payloads through the
-// algorithm's codecs.
-func (e *Engine) restoreUntyped(snap *Snapshot, algo EngineAlgo, faulty bool) error {
-	if algo.DecodeState == nil {
-		return fmt.Errorf("model: resume: algorithm has no DecodeState codec")
-	}
-	if err := e.restoreCommon(snap, false, faulty); err != nil {
-		return err
-	}
-	src := snap.States
-	for v := 0; v < e.n; v++ {
-		st, rest, err := algo.DecodeState(src, e.states[v])
-		if err != nil {
-			return fmt.Errorf("model: resume: state of node %d: %w", v, err)
-		}
-		e.states[v] = st
-		src = rest
-	}
-	if len(src) != 0 {
-		return fmt.Errorf("model: resume: %d trailing state bytes", len(src))
-	}
-	if len(snap.Pending) > 0 {
-		if algo.DecodeData == nil {
-			return fmt.Errorf("model: resume: snapshot has pending messages but algorithm has no DecodeData codec")
-		}
-		arena := snap.Round & 1
-		data := snap.Data
-		for _, s := range snap.Pending {
-			d, rest, err := algo.DecodeData(data)
-			if err != nil {
-				return fmt.Errorf("model: resume: payload for slot %d: %w", s, err)
-			}
-			e.buf[arena][s].Data = d
-			data = rest
-		}
-		if len(data) != 0 {
-			return fmt.Errorf("model: resume: %d trailing payload bytes", len(data))
-		}
-	}
-	return nil
 }

@@ -8,77 +8,58 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/view"
 )
 
-// snapFloodState is the untyped checkpointable flood state: letters
-// and id are static context reconstructed by Init on resume; best and
-// ticks are the dynamic fields the codec carries.
+// snapFloodState is the codec-checkpointed flood state: id is static
+// context reconstructed by Init on resume; best and ticks are the
+// dynamic fields the codec carries.
 type snapFloodState struct {
-	letters []view.Letter
-	id      int
-	best    int
-	ticks   int
+	id    int
+	best  int
+	ticks int
 }
 
-// snapFloodAlgo is floodMaxAlgo in engine-native form with the full
-// checkpoint codec: states carry two varints, messages carry one.
-func snapFloodAlgo() EngineAlgo {
-	return EngineAlgo{
-		Init: func(info NodeInfo) any {
-			return &snapFloodState{letters: info.Letters, id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
+// snapFloodAlgo is the flood workload with an explicit state codec
+// (two varints per node), exercising the non-default path of
+// EncodeState/DecodeState.
+func snapFloodAlgo() TypedAlgo[snapFloodState] {
+	return TypedAlgo[snapFloodState]{
+		Init: func(v int, info NodeInfo) snapFloodState {
+			return snapFloodState{id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
 		},
-		Step: func(state any, round int, inbox []Msg, out *Outbox) (any, bool) {
-			s := state.(*snapFloodState)
+		Step: func(s *snapFloodState, round int, inbox []WordMsg, out *Outbox) bool {
 			for _, m := range inbox {
-				if v := m.Data.(int); v > s.best {
-					s.best = v
-				}
+				s.best = max(s.best, int(m.W))
 			}
 			if s.ticks == 0 {
-				return s, true
+				return true
 			}
 			s.ticks--
-			for _, l := range s.letters {
-				out.Send(l, s.best)
-			}
-			return s, false
+			out.BroadcastWord(uint64(s.best))
+			return false
 		},
-		Out: func(state any) Output {
-			s := state.(*snapFloodState)
-			return Output{Member: s.best > s.id}
-		},
-		EncodeState: func(dst []byte, state any) []byte {
-			s := state.(*snapFloodState)
+		Out: func(s *snapFloodState) Output { return Output{Member: s.best > s.id} },
+		EncodeState: func(dst []byte, s *snapFloodState) []byte {
 			dst = binary.AppendVarint(dst, int64(s.best))
 			return binary.AppendVarint(dst, int64(s.ticks))
 		},
-		DecodeState: func(src []byte, state any) (any, []byte, error) {
-			s := state.(*snapFloodState)
+		DecodeState: func(src []byte, s *snapFloodState) ([]byte, error) {
 			best, n := binary.Varint(src)
 			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad best")
+				return nil, fmt.Errorf("bad best")
 			}
 			ticks, m := binary.Varint(src[n:])
 			if m <= 0 {
-				return nil, nil, fmt.Errorf("bad ticks")
+				return nil, fmt.Errorf("bad ticks")
 			}
 			s.best, s.ticks = int(best), int(ticks)
-			return s, src[n+m:], nil
-		},
-		EncodeData: func(dst []byte, data any) []byte {
-			return binary.AppendVarint(dst, int64(data.(int)))
-		},
-		DecodeData: func(src []byte) (any, []byte, error) {
-			v, n := binary.Varint(src)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad payload")
-			}
-			return int(v), src[n:], nil
+			return src[n+m:], nil
 		},
 	}
 }
@@ -128,23 +109,13 @@ func snapSink(dst map[int][]byte) *Checkpointer {
 	}}
 }
 
-// untypedSummary extracts the dynamic fields for comparison.
-func untypedSummary(states []any) [][2]int {
-	out := make([][2]int, len(states))
-	for v, st := range states {
-		s := st.(*snapFloodState)
-		out[v] = [2]int{s.best, s.ticks}
-	}
-	return out
-}
-
-// TestSnapshotResumeUntyped pins the untyped resume byte-identical:
+// TestSnapshotResumeTypedCodec pins the codec resume byte-identical:
 // for every host, clean and under two fault profiles, resuming from
 // each checkpoint round reproduces the uninterrupted run's final
 // states, round count, fault report AND every later checkpoint's
 // encoded bytes (content addressing makes that last check equivalent
 // to whole-state equality at every subsequent barrier).
-func TestSnapshotResumeUntyped(t *testing.T) {
+func TestSnapshotResumeTypedCodec(t *testing.T) {
 	defer par.Set(par.Set(4))
 	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
 		for name, h := range snapHosts() {
@@ -155,12 +126,12 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 				sched = MustParseProfile(prof).New(h, 99)
 			}
 			control := map[int][]byte{}
-			e1 := NewEngine(h).WithCheckpoints(snapSink(control))
+			e1 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(control))
 			states1, rounds1, rep1, err := e1.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
 			if err != nil {
 				t.Fatalf("%s/%s: control: %v", name, prof, err)
 			}
-			sum1 := untypedSummary(states1)
+			sum1 := append([]snapFloodState(nil), states1...)
 			if len(control) == 0 {
 				t.Fatalf("%s/%s: control run took no checkpoints", name, prof)
 			}
@@ -170,7 +141,7 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
 				}
 				resumed := map[int][]byte{}
-				e2 := NewEngine(h).WithCheckpoints(snapSink(resumed)).Resume(snap)
+				e2 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(resumed)).Resume(snap)
 				states2, rounds2, rep2, err := e2.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
 				if err != nil {
 					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
@@ -178,7 +149,7 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 				if rounds2 != rounds1 {
 					t.Errorf("%s/%s: resume from %d: %d rounds (control %d)", name, prof, k, rounds2, rounds1)
 				}
-				if !reflect.DeepEqual(untypedSummary(states2), sum1) {
+				if !reflect.DeepEqual(states2, sum1) {
 					t.Errorf("%s/%s: resume from %d: final states differ", name, prof, k)
 				}
 				if !reflect.DeepEqual(rep1, rep2) {
@@ -197,8 +168,8 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeTyped is the typed twin, exercising the default
-// uint64 state codec and the word-lane payload path.
+// TestSnapshotResumeTyped is the packed twin, exercising the default
+// uint64 state codec.
 func TestSnapshotResumeTyped(t *testing.T) {
 	defer par.Set(par.Set(4))
 	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
@@ -326,8 +297,8 @@ func TestSnapshotDoubleResumeRejected(t *testing.T) {
 }
 
 // TestSnapshotMismatchRejected: a snapshot only resumes the run shape
-// it was taken from — plane kind, schedule presence and host geometry
-// are all validated.
+// it was taken from — state encoding, schedule presence and host
+// geometry are all validated.
 func TestSnapshotMismatchRejected(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
 	n := h.G.N()
@@ -341,9 +312,9 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 		return snaps[0]
 	}
 
-	// Typed snapshot into an untyped run.
-	if _, _, err := NewEngine(h).Resume(grab()).RunStates(ids, snapFloodAlgo(), 64); err == nil {
-		t.Error("typed snapshot accepted by untyped run")
+	// Default-codec snapshot into a run with its own state codec.
+	if _, _, err := NewTypedEngine[snapFloodState](h).Resume(grab()).RunStates(ids, snapFloodAlgo(), 64); err == nil {
+		t.Error("word-column snapshot accepted by a codec run")
 	}
 	// Clean snapshot into a faulty run.
 	sched := MustParseProfile("lossy:p=0.2").New(h, 99)
@@ -398,16 +369,10 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 func TestSnapshotCheckpointIdleAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	e := NewEngine(h)
-	e.WithCheckpoints(&Checkpointer{Every: 1 << 30})
-	states := make([]pulseState, h.G.N())
+	te := NewWordEngine(h).WithCheckpoints(&Checkpointer{Every: 1 << 30})
 	runFor := func(rounds int) func() {
 		return func() {
-			algo, reset := pulseAlgo(states, rounds)
-			algo.EncodeState = func(dst []byte, _ any) []byte { return dst }
-			algo.DecodeState = func(src []byte, st any) (any, []byte, error) { return st, src, nil }
-			reset()
-			if _, _, err := e.RunStates(nil, algo, rounds+2); err != nil {
+			if _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -421,10 +386,10 @@ func TestSnapshotCheckpointIdleAllocs(t *testing.T) {
 }
 
 // TestSnapshotEncodeDecodeRoundTrip covers the payload codec field by
-// field, including the faulty counter block.
+// field, including the faulty counter block, and rejects the flag
+// byte of the retired boxed-payload encoding.
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	s := &Snapshot{
-		Typed:   true,
 		Faulty:  true,
 		N:       5,
 		Slots:   12,
@@ -436,27 +401,78 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		Words:   []uint64{7, 8, 9},
 		States:  []byte{1, 2, 3, 4},
 	}
-	got, err := DecodeSnapshot(s.Encode())
+	payload := s.Encode()
+	got, err := DecodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("round trip mismatch:\n  in  %+v\n  out %+v", s, got)
 	}
-	u := &Snapshot{
-		N: 3, Slots: 6, Round: 2,
-		Halted:  []bool{false, false, true},
-		Pending: []int32{2, 5},
-		Data:    []byte{9, 9},
-		States:  []byte{1},
+	boxed := append([]byte(nil), payload...)
+	boxed[1] = 0 // the flag byte after the version
+	if _, err := DecodeSnapshot(boxed); err == nil || !strings.Contains(err.Error(), "no longer supported") {
+		t.Fatalf("boxed-payload snapshot: err=%v", err)
 	}
-	got, err = DecodeSnapshot(u.Encode())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// hostileSnapshot is a 13-byte payload claiming 2^26 slots, all of
+// them pending: version 1, the flag bytes, n=0, slots=2^26, round 0,
+// then the pending count.
+func hostileSnapshot() []byte {
+	p := []byte{1, 1, 0, 0}
+	p = binary.AppendUvarint(p, 1<<26)
+	p = append(p, 0)
+	return binary.AppendUvarint(p, 1<<26)
+}
+
+// TestSnapshotDecodeHostile: counts in the payload are bounded by the
+// bytes that back them before anything is allocated, so a tiny hostile
+// payload fails fast instead of reserving gigabytes.
+func TestSnapshotDecodeHostile(t *testing.T) {
+	payload := hostileSnapshot()
+	if len(payload) != 13 {
+		t.Fatalf("hostile payload is %d bytes, want 13", len(payload))
 	}
-	if !reflect.DeepEqual(got, u) {
-		t.Fatalf("untyped round trip mismatch:\n  in  %+v\n  out %+v", u, got)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := DecodeSnapshot(payload); err == nil {
+		t.Fatal("hostile snapshot decoded")
 	}
+	runtime.ReadMemStats(&ms)
+	if grew := ms.TotalAlloc - before; grew > 1<<16 {
+		t.Fatalf("hostile snapshot allocated %d bytes", grew)
+	}
+}
+
+// FuzzDecodeSnapshot: DecodeSnapshot never panics, and whatever it
+// accepts survives an encode/decode round trip unchanged.
+func FuzzDecodeSnapshot(f *testing.F) {
+	h := HostFromGraph(graph.Torus(6, 6))
+	n := h.G.N()
+	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
+	for _, prof := range []string{"", "crash:f=5,by=2"} {
+		var sched Schedule
+		if prof != "" {
+			sched = MustParseProfile(prof).New(h, 99)
+		}
+		ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { f.Add(s.Encode()); return nil }}
+		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(hostileSnapshot())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := DecodeSnapshot(payload)
+		if err != nil {
+			return
+		}
+		again, err := DecodeSnapshot(s.Encode())
+		if err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("accepted payload %x does not round-trip (err %v)", payload, err)
+		}
+	})
 }
 
 // TestSnapshotTypedBytesPinned pins the typed snapshot encoding: the

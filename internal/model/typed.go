@@ -3,26 +3,20 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/view"
 )
 
-// This file is the typed columnar path of the round engine: states
-// live in a contiguous []S column owned by the TypedEngine (no
-// interface boxing, no per-node pointer chase) and message payloads
-// travel in the Engine's fixed-width uint64 word lane, parallel to the
-// any-payload arenas and sharing their slots, stamps, routing,
-// letter-sort order, worklist and fault hashing. Msg.Data remains the
-// supported slow path for unbounded payloads (GatherViews); the typed
-// gather below shows how a pointer-shaped payload rides the word lane
-// anyway, as a column handle.
+// This file is the columnar path of the round engine: states live in a
+// contiguous []S column owned by the TypedEngine (no interface boxing,
+// no per-node pointer chase) and message payloads travel in the
+// Engine's fixed-width uint64 word lane. Pointer-shaped payloads ride
+// the lane as column handles (see Gather).
 
-// WordMsg is one inbox entry of the typed message plane: the payload
-// word plus the receiver-local incident-slot index of the arrival arc
-// (the position of the arc in the receiver's letter-sorted slot row —
-// the typed analogue of Msg.L; the letter itself is info.Letters[Slot]
-// under the typed Init contract). 16 bytes, pointer-free: compacting a
-// typed inbox is a flat copy the garbage collector never scans.
+// WordMsg is one inbox entry of the message plane: the payload word
+// plus the receiver-local incident-slot index of the arrival arc (the
+// position of the arc in the receiver's letter-sorted slot row; the
+// letter itself is info.Letters[Slot] under the Init contract). 16
+// bytes, pointer-free: compacting an inbox is a flat copy the garbage
+// collector never scans.
 type WordMsg struct {
 	// W is the payload word.
 	W uint64
@@ -30,9 +24,8 @@ type WordMsg struct {
 	Slot int32
 }
 
-// TypedAlgo is the typed engine-native form of a round algorithm.
-// Contract deltas from EngineAlgo, all in service of the columnar
-// layout:
+// TypedAlgo is the engine-native form of a round algorithm. Contract
+// deltas from RoundAlgo, all in service of the columnar layout:
 //
 //   - Init receives the node index v (so columnar algorithms can index
 //     pre-drawn per-node tables directly) and info.Letters in the
@@ -41,12 +34,13 @@ type WordMsg struct {
 //   - Step mutates the state in place through *S and returns only the
 //     halt flag. The inbox aliases per-worker scratch and is valid
 //     only during the call.
-//   - Sends go through Outbox.SendWord (one slot, checked like Send)
-//     or Outbox.BroadcastWord (whole slot row, unchecked overwrite).
+//   - Sends go through Outbox.SendWord (one slot; a second send on it
+//     in one round is an error) or Outbox.BroadcastWord (whole slot
+//     row, unchecked overwrite).
 type TypedAlgo[S any] struct {
 	// Init returns node v's initial state; called sequentially in
-	// increasing node order, so pre-drawn randomness stays
-	// deterministic exactly as on the untyped path.
+	// increasing node order, so it may consume a shared RNG or a
+	// pre-drawn per-node table deterministically.
 	Init func(v int, info NodeInfo) S
 	// Step consumes the inbox (receiver letter order) and returns
 	// whether the node halts.
@@ -60,7 +54,7 @@ type TypedAlgo[S any] struct {
 	// for checkpointed or resumed runs; uint64 states (WordAlgo) fall
 	// back to a fixed-width little-endian default, so every packed
 	// word workload is checkpointable with no codec at all. Payloads
-	// need no codec on the typed plane — they are the word lane.
+	// need no codec — they are the word lane.
 	EncodeState func(dst []byte, state *S) []byte
 	DecodeState func(src []byte, state *S) (rest []byte, err error)
 }
@@ -72,10 +66,8 @@ type TypedAlgo[S any] struct {
 type WordAlgo = TypedAlgo[uint64]
 
 // TypedEngine couples an Engine's message plane with a columnar state
-// array. The plane is shared: one Engine may alternate typed and
-// untyped runs (the monotone stamp discipline keeps them from ever
-// reading each other's messages), but, exactly like the Engine
-// itself, a TypedEngine must not execute two runs concurrently.
+// array. Exactly like the Engine itself, a TypedEngine must not
+// execute two runs concurrently.
 type TypedEngine[S any] struct {
 	e   *Engine
 	col []S
@@ -92,16 +84,13 @@ func NewTypedEngine[S any](h *Host) *TypedEngine[S] { return TypedOn[S](NewEngin
 func NewWordEngine(h *Host) *WordEngine { return NewTypedEngine[uint64](h) }
 
 // TypedOn attaches a columnar state array to an existing engine,
-// sharing its message plane, worklists and stamps. The word lane is
-// allocated on the first attachment; purely untyped engines never pay
-// for it.
+// sharing its message plane, worklists and stamps.
 func TypedOn[S any](e *Engine) *TypedEngine[S] {
-	e.ensureWordLane()
 	return &TypedEngine[S]{e: e, col: make([]S, e.n)}
 }
 
-// Engine returns the underlying engine, e.g. to alternate typed and
-// untyped runs on one warmed-up plane.
+// Engine returns the underlying engine, e.g. to arm cancellation with
+// WithContext.
 func (te *TypedEngine[S]) Engine() *Engine { return te.e }
 
 // Run executes a typed algorithm and extracts the per-node outputs.
@@ -126,10 +115,16 @@ func (te *TypedEngine[S]) RunStates(ids []int, algo TypedAlgo[S], maxRounds int)
 	return col, rounds, err
 }
 
-// RunStatesFaulty is RunStates under a fault schedule, with exactly
-// the semantics of Engine.RunStatesFaulty: fates are drawn per
-// (round, slot) from the same hashes, so a typed run degrades
-// identically to the untyped run of the same algorithm.
+// RunStatesFaulty is RunStates executing under a fault schedule: the
+// schedule's Fate is applied to every delivery at inbox-compaction
+// time (so drops, duplicates and reorderings happen between the send
+// and the receiver's Step), its State gates which nodes step each
+// round (down nodes skip the round silently; crashed nodes leave the
+// worklist for good), and the returned FaultReport counts what
+// actually happened. A nil schedule is the clean profile: the run
+// takes the engine's exact clean path and the report is all-zero.
+// Crashed nodes keep the last state they reached; callers decide how
+// to treat their outputs (FaultReport.CrashedNode).
 func (te *TypedEngine[S]) RunStatesFaulty(ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
 	col, rounds, rep, err := te.runStates(ids, algo, maxRounds, sched)
 	if err != nil {
@@ -141,15 +136,15 @@ func (te *TypedEngine[S]) RunStatesFaulty(ids []int, algo TypedAlgo[S], maxRound
 	return col, rounds, rep, nil
 }
 
-// runStates initialises the state column and dispatches the typed
-// clean or faulty step path into the shared round-loop core.
+// runStates initialises the state column and dispatches the clean or
+// faulty step path into the shared round-loop core.
 func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
 	e := te.e
 	if ids != nil && len(ids) != e.n {
 		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
 	}
 	for v := 0; v < e.n; v++ {
-		// Typed NodeInfo letters are the letter-sorted slot row itself
+		// NodeInfo letters are the letter-sorted slot row itself
 		// (shared, read-only): local slot i is info.Letters[i].
 		info := NodeInfo{ID: -1, Letters: e.letters[e.off[v]:e.off[v+1]:e.off[v+1]]}
 		if ids != nil {
@@ -164,9 +159,7 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		e.ckTyped = true
 		e.ckEncStates = enc
-		e.ckEncData = nil
 	}
 	if snap := e.resume; snap != nil {
 		e.resume = nil
@@ -222,7 +215,7 @@ func (te *TypedEngine[S]) restoreTyped(snap *Snapshot, algo TypedAlgo[S], faulty
 			return fmt.Errorf("model: resume: typed algorithm has no DecodeState codec")
 		}
 	}
-	if err := e.restoreCommon(snap, true, faulty); err != nil {
+	if err := e.restoreCommon(snap, faulty); err != nil {
 		return err
 	}
 	if algo.DecodeState != nil {
@@ -280,10 +273,9 @@ func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func(int, *Outbox) {
 }
 
 // stepTypedFaulty is stepTyped with the fault schedule interposed:
-// liveness gating and per-(round, slot) fates are drawn from exactly
-// the hashes the untyped faulty path draws, so typed and untyped runs
-// of one algorithm under one schedule see the same delivered,
-// duplicated and reordered messages.
+// liveness gating, per-(round, slot) fates compacted into the worker's
+// double-width scratch so duplicates fit, and adversarial inbox
+// permutation.
 func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) func(int, *Outbox) {
 	e := te.e
 	return func(v int, ob *Outbox) {
@@ -327,22 +319,16 @@ func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) fun
 	}
 }
 
-// RunRoundsTyped executes a typed round algorithm on the host — the
-// typed twin of RunRounds. Pass ids for the ID model, nil for
-// anonymous execution.
+// RunRoundsTyped executes a typed round algorithm on the host and
+// returns the per-node outputs and the number of rounds. Pass ids for
+// the ID model, nil for anonymous execution.
 func RunRoundsTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int) ([]Output, int, error) {
 	return NewTypedEngine[S](h).Run(ids, algo, maxRounds)
 }
 
-// RunRoundsStatesTyped is RunRoundsTyped exposing the final state
-// column instead of outputs.
-func RunRoundsStatesTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int) ([]S, int, error) {
-	return NewTypedEngine[S](h).RunStates(ids, algo, maxRounds)
-}
-
-// RunRoundsTypedFaulty is RunRoundsTyped under a fault schedule — the
-// typed twin of RunRoundsFaulty (nil schedule runs clean; crashed
-// nodes' outputs are extracted from the last state they reached).
+// RunRoundsTypedFaulty is RunRoundsTyped under a fault schedule (see
+// RunStatesFaulty; a nil schedule runs clean, and crashed nodes'
+// outputs are extracted from the last state they reached).
 func RunRoundsTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
 	col, rounds, rep, err := NewTypedEngine[S](h).RunStatesFaulty(ids, algo, maxRounds, sched)
 	if err != nil {
@@ -353,121 +339,4 @@ func RunRoundsTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRound
 		outs[v] = algo.Out(&col[v])
 	}
 	return outs, rounds, rep, nil
-}
-
-// RunRoundsStatesTypedFaulty is RunRoundsTypedFaulty exposing the
-// final state column instead of outputs.
-func RunRoundsStatesTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
-	return NewTypedEngine[S](h).RunStatesFaulty(ids, algo, maxRounds, sched)
-}
-
-// gatherTypedState is the per-node state of the typed gather: the
-// node's column index and its letter-sorted slot letters. The view
-// trees themselves live in the run's tree columns (see
-// gatherViewsTyped), not in the state.
-type gatherTypedState struct {
-	v       int32
-	letters []view.Letter
-}
-
-// gatherViewsTyped is GatherViews on the typed plane, demonstrating
-// how a pointer-shaped payload rides the fixed-width word lane: the
-// lane carries column handles — each message word is the sender's
-// node index — and the hash-consed trees live in two round-parity
-// columns (the round-r assembly reads trees[r&1], which round r-1's
-// senders wrote, and publishes into trees[(r+1)&1]; distinct parities
-// keep same-round reads and writes on different arrays, so workers
-// never race). final[v] tracks node v's latest assembled view for
-// extraction after the run. Assembly order, duplicate-letter dedup
-// and the starved-inbox stale-view rule mirror GatherViews exactly,
-// which the differential tests pin down.
-func gatherViewsTyped(n, r int) (TypedAlgo[gatherTypedState], []*view.Tree) {
-	var trees [2][]*view.Tree
-	trees[0] = make([]*view.Tree, n)
-	trees[1] = make([]*view.Tree, n)
-	final := make([]*view.Tree, n)
-	algo := TypedAlgo[gatherTypedState]{
-		Init: func(v int, info NodeInfo) gatherTypedState {
-			final[v] = view.Leaf()
-			return gatherTypedState{v: int32(v), letters: info.Letters}
-		},
-		Step: func(st *gatherTypedState, round int, inbox []WordMsg, out *Outbox) bool {
-			t := final[st.v]
-			if round > 0 && len(inbox) > 0 {
-				cur := trees[round&1]
-				children := make([]view.Child, 0, len(inbox))
-				for _, m := range inbox {
-					// Duplicated deliveries repeat a slot; keep the first.
-					dup := false
-					for _, c := range children {
-						if c.L == st.letters[m.Slot] {
-							dup = true
-							break
-						}
-					}
-					if dup {
-						continue
-					}
-					l := st.letters[m.Slot]
-					children = append(children, view.Child{L: l, T: pruneChild(cur[m.W], l.Inv())})
-				}
-				t = view.NewTree(children)
-				final[st.v] = t
-			}
-			if round >= r {
-				return true
-			}
-			trees[(round+1)&1][st.v] = t
-			out.BroadcastWord(uint64(st.v))
-			return false
-		},
-		Out: func(*gatherTypedState) Output { return Output{} },
-	}
-	return algo, final
-}
-
-// SimulatePORoundsTyped is SimulatePORounds driven through the typed
-// message plane: the radius-r views are gathered by word-lane message
-// passing (column handles to hash-consed trees) and the algorithm's
-// view function is applied to the final views. By equation (1) the
-// result coincides with RunPO, SimulatePO and SimulatePORounds.
-func SimulatePORoundsTyped(h *Host, alg PO, kind Kind) (*Solution, error) {
-	r := alg.Radius()
-	n := h.G.N()
-	algo, final := gatherViewsTyped(n, r)
-	if _, _, err := NewTypedEngine[gatherTypedState](h).RunStates(nil, algo, r+2); err != nil {
-		return nil, err
-	}
-	sol := NewSolution(kind, n)
-	for v, t := range final {
-		if err := applyPOOut(sol, h, v, alg.EvalPO(t)); err != nil {
-			return nil, err
-		}
-	}
-	return sol, nil
-}
-
-// SimulatePORoundsTypedFaulty is SimulatePORoundsTyped under a fault
-// schedule, with the semantics of SimulatePORoundsFaulty: views are
-// whatever fragments survived the schedule and crashed nodes produce
-// no output. maxRounds bounds the run (pass slack beyond Radius()+2
-// when the schedule can keep nodes transiently down).
-func SimulatePORoundsTypedFaulty(h *Host, alg PO, kind Kind, sched Schedule, maxRounds int) (*Solution, *FaultReport, error) {
-	r := alg.Radius()
-	n := h.G.N()
-	algo, final := gatherViewsTyped(n, r)
-	_, _, rep, err := NewTypedEngine[gatherTypedState](h).RunStatesFaulty(nil, algo, maxRounds, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	sol := NewSolution(kind, n)
-	for v, t := range final {
-		if rep.CrashedNode(v) {
-			continue
-		}
-		if err := applyPOOut(sol, h, v, alg.EvalPO(t)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sol, rep, nil
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/view"
 )
 
-// floodTypedState mirrors floodMaxAlgo's boxed state as a typed
-// column entry (a non-trivial S exercising the generic path).
+// floodTypedState mirrors floodMaxAlgo's boxed state as a column
+// entry (a non-trivial S exercising the generic path).
 type floodTypedState struct {
 	id    int32
 	best  int32
@@ -21,7 +22,7 @@ type floodTypedState struct {
 
 // floodTypedAlgo is floodMaxAlgo on the typed plane: same staggered
 // halting, same flood-the-best-id traffic, with the id riding the
-// word lane. Outputs must match the untyped algorithm byte for byte.
+// word lane. Outputs must match the reference algorithm byte for byte.
 func floodTypedAlgo() TypedAlgo[floodTypedState] {
 	return TypedAlgo[floodTypedState]{
 		Init: func(v int, info NodeInfo) floodTypedState {
@@ -47,21 +48,14 @@ func floodTypedAlgo() TypedAlgo[floodTypedState] {
 	}
 }
 
-// TestTypedDifferentialFlood pins the typed engine against both the
-// untyped engine and the sequential reference: identical outputs and
-// round counts on every differential host, at parallelism 1 and 8.
+// TestTypedDifferentialFlood pins the generic-state engine against the
+// sequential reference: identical outputs and round counts on every
+// differential host, at parallelism 1 and 8.
 func TestTypedDifferentialFlood(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
-		refStates, refRounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		refOuts := make([]Output, n)
-		for v, st := range refStates {
-			refOuts[v] = floodMaxAlgo().Out(st)
-		}
+		refOuts, refRounds := referenceOutputs(t, h, ids)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
 			outs, rounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
@@ -79,32 +73,33 @@ func TestTypedDifferentialFlood(t *testing.T) {
 	}
 }
 
-// TestTypedFaultyMatchesUntyped: under every profile family, the typed
-// run degrades exactly like the untyped run of the same algorithm —
+// TestTypedFaultyFormsAgree: under every profile family, the
+// generic-state flood and its packed uint64 twin degrade identically —
 // same outputs, same round count, same fault report — because fates
-// are hashes of (seed, round, slot) coordinates shared by both lanes.
-func TestTypedFaultyMatchesUntyped(t *testing.T) {
+// are hashes of (seed, round, slot) coordinates, not of the state
+// layout.
+func TestTypedFaultyFormsAgree(t *testing.T) {
 	for _, desc := range []string{"lossy:p=0.2", "dup+reorder", "crash:f=6,by=4", "churn:p=0.3,window=2", "adversarial:p=0.1,f=3"} {
 		h := HostFromGraph(graph.Torus(8, 8))
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
 		sched := MustParseProfile(desc).New(h, 99)
-		uOuts, uRounds, uRep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, sched)
+		wOuts, wRounds, wRep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, sched)
 		if err != nil {
-			t.Fatalf("%s: untyped: %v", desc, err)
+			t.Fatalf("%s: packed: %v", desc, err)
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
 			tOuts, tRounds, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
-				t.Fatalf("%s p=%d: typed: %v", desc, p, err)
+				t.Fatalf("%s p=%d: generic: %v", desc, p, err)
 			}
-			if tRounds != uRounds || !reflect.DeepEqual(tOuts, uOuts) {
-				t.Errorf("%s p=%d: typed faulty run differs from untyped (reproducer: seed=99)", desc, p)
+			if tRounds != wRounds || !reflect.DeepEqual(tOuts, wOuts) {
+				t.Errorf("%s p=%d: generic faulty run differs from packed (reproducer: seed=99)", desc, p)
 			}
-			if !reflect.DeepEqual(tRep, uRep) {
-				t.Errorf("%s p=%d: reports differ: typed %+v untyped %+v", desc, p, tRep, uRep)
+			if !reflect.DeepEqual(tRep, wRep) {
+				t.Errorf("%s p=%d: reports differ: generic %+v packed %+v", desc, p, tRep, wRep)
 			}
 		}
 	}
@@ -178,9 +173,8 @@ func TestTypedInboxSlotRouting(t *testing.T) {
 	}
 }
 
-// TestTypedErrorFormats: the typed send contract fails with the same
-// shaped errors as the untyped one — round-stamped, profile-suffixed
-// on faulty runs — plus the ids-length check.
+// TestTypedErrorFormats: the send contract fails with round-stamped
+// errors, profile-suffixed on faulty runs, plus the ids-length check.
 func TestTypedErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	badAt := func(round int) WordAlgo {
@@ -245,7 +239,8 @@ func TestTypedErrorFormats(t *testing.T) {
 // plane's maxSlots must equal the widest slot row, and a schedule
 // that duplicates every delivery (the worst case the 2x fault scratch
 // is sized for) must run without growing anything — pinned both by
-// the run completing and by the typed/untyped agreement under it.
+// the run completing and by its agreement with the reference, since
+// flooding the maximum is blind to duplicates and delivery order.
 func TestScratchPreSized(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		e := NewEngine(h)
@@ -266,19 +261,16 @@ func TestScratchPreSized(t *testing.T) {
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(4)).Perm(4 * n)[:n]
 	sched := MustParseProfile("dup+reorder:p=1").New(h, 7)
-	uOuts, _, uRep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, sched)
+	outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
 	if err != nil {
-		t.Fatalf("untyped all-duplicate run: %v", err)
+		t.Fatalf("all-duplicate run: %v", err)
 	}
-	if uRep.Duplicated == 0 {
+	if rep.Duplicated == 0 {
 		t.Fatal("p=1 duplication schedule duplicated nothing")
 	}
-	tOuts, _, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
-	if err != nil {
-		t.Fatalf("typed all-duplicate run: %v", err)
-	}
-	if !reflect.DeepEqual(tOuts, uOuts) || !reflect.DeepEqual(tRep, uRep) {
-		t.Fatal("typed and untyped all-duplicate runs disagree")
+	want, wantRounds := referenceOutputs(t, h, ids)
+	if rounds != wantRounds || !reflect.DeepEqual(outs, want) {
+		t.Fatal("all-duplicate run disagrees with the reference")
 	}
 }
 
@@ -336,36 +328,6 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestTypedUntypedPlaneSharing: typed and untyped runs alternate on
-// ONE message plane — the monotone stamp discipline keeps the lanes
-// from ever reading each other's leftovers, so every run matches a
-// fresh engine byte for byte.
-func TestTypedUntypedPlaneSharing(t *testing.T) {
-	h := HostFromGraph(graph.Petersen())
-	e := NewEngine(h)
-	te := TypedOn[floodTypedState](e)
-	rng := rand.New(rand.NewSource(3))
-	ids := rng.Perm(40)[:10]
-	wantU, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		outsU, roundsU, err := e.Run(ids, floodMaxAlgo().engine(), 16)
-		if err != nil {
-			t.Fatalf("iteration %d untyped: %v", i, err)
-		}
-		outsT, roundsT, err := te.Run(ids, floodTypedAlgo(), 16)
-		if err != nil {
-			t.Fatalf("iteration %d typed: %v", i, err)
-		}
-		if roundsU != wantRounds || roundsT != wantRounds ||
-			!reflect.DeepEqual(outsU, wantU) || !reflect.DeepEqual(outsT, wantU) {
-			t.Fatalf("iteration %d: alternating lanes diverged from fresh run", i)
-		}
-	}
-}
-
 // TestTypedReuseAfterError: a typed run failing mid-way (absent slot,
 // non-halt) must not poison the shared plane for later typed runs.
 func TestTypedReuseAfterError(t *testing.T) {
@@ -409,36 +371,37 @@ func TestTypedReuseAfterError(t *testing.T) {
 	}
 }
 
-// TestSimulatePORoundsTypedDifferential: the typed word-lane gather
-// coincides with RunPO and the untyped SimulatePORounds on every
-// differential host — the column-handle encoding of tree payloads is
-// semantically invisible.
+// TestSimulatePORoundsTypedDifferential: the word-lane gather (column
+// handles to hash-consed trees) returns, at every radius, the very
+// trees the level-synchronous GatheredTreesAll assembles — the
+// encoding of tree payloads is semantically invisible.
 func TestSimulatePORoundsTypedDifferential(t *testing.T) {
-	alg := FuncPO{R: 1, Fn: func(tr *view.Tree) Output {
-		return Output{Member: tr.NumChildren()%2 == 0, Letters: tr.Letters()}
-	}}
 	for name, h := range engineHosts(t) {
-		direct, err := RunPO(h, alg, EdgeKind)
+		levels, err := GatheredTreesAll(h, 3)
 		if err != nil {
-			t.Fatalf("%s: RunPO: %v", name, err)
+			t.Fatal(err)
 		}
-		for _, p := range []int{1, 8} {
-			old := par.Set(p)
-			sim, err := SimulatePORoundsTyped(h, alg, EdgeKind)
-			par.Set(old)
-			if err != nil {
-				t.Fatalf("%s p=%d: SimulatePORoundsTyped: %v", name, p, err)
-			}
-			if !reflect.DeepEqual(direct.EdgeSet(), sim.EdgeSet()) {
-				t.Fatalf("%s p=%d: typed gather edge sets differ", name, p)
+		for r, want := range levels {
+			for _, p := range []int{1, 8} {
+				old := par.Set(p)
+				got, _, _, err := Gather(context.Background(), h, r, r+2, nil)
+				par.Set(old)
+				if err != nil {
+					t.Fatalf("%s r=%d p=%d: Gather: %v", name, r, p, err)
+				}
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("%s r=%d p=%d node %d: gathered tree differs from GatheredTreesAll", name, r, p, v)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestSimulatePORoundsTypedFaulty: under a fault schedule the typed
-// gather degrades exactly like the untyped one — same solution, same
-// report — at parallelism 1 and 8.
+// TestSimulatePORoundsTypedFaulty: under a fault schedule the gather
+// solution is the view function applied to Gather's surviving views,
+// identically at parallelism 1 and 8, with the same report.
 func TestSimulatePORoundsTypedFaulty(t *testing.T) {
 	alg := FuncPO{R: 2, Fn: func(tr *view.Tree) Output {
 		return Output{Member: tr.NumChildren()%2 == 0}
@@ -446,43 +409,26 @@ func TestSimulatePORoundsTypedFaulty(t *testing.T) {
 	for _, desc := range []string{"lossy:p=0.15", "crash:f=5,by=2", "dup+reorder:p=0.3"} {
 		h := HostFromGraph(graph.Torus(6, 6))
 		sched := MustParseProfile(desc).New(h, 13)
-		uSol, uRep, err := SimulatePORoundsFaulty(h, alg, VertexKind, sched, 300)
+		trees, _, rep, err := Gather(context.Background(), h, 2, 300, sched)
 		if err != nil {
-			t.Fatalf("%s: untyped: %v", desc, err)
+			t.Fatalf("%s: gather: %v", desc, err)
+		}
+		want := make([]bool, h.G.N())
+		for v, tr := range trees {
+			want[v] = !rep.CrashedNode(v) && alg.EvalPO(tr).Member
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			tSol, tRep, err := SimulatePORoundsTypedFaulty(h, alg, VertexKind, sched, 300)
+			sol, solRep, err := SimulatePORoundsFaulty(h, alg, VertexKind, sched, 300)
 			par.Set(old)
 			if err != nil {
-				t.Fatalf("%s p=%d: typed: %v", desc, p, err)
+				t.Fatalf("%s p=%d: %v", desc, p, err)
 			}
-			if !reflect.DeepEqual(tSol.Vertices, uSol.Vertices) {
-				t.Errorf("%s p=%d: typed faulty gather solution differs (reproducer: seed=13)", desc, p)
+			if !reflect.DeepEqual(sol.Vertices, want) {
+				t.Errorf("%s p=%d: faulty gather solution differs (reproducer: seed=13)", desc, p)
 			}
-			if !reflect.DeepEqual(tRep, uRep) {
+			if !reflect.DeepEqual(solRep, rep) {
 				t.Errorf("%s p=%d: reports differ", desc, p)
-			}
-		}
-	}
-}
-
-// TestShuffleWordMsgsMatches: the typed reorder permutes a same-length
-// inbox exactly like the untyped reorder for every seed.
-func TestShuffleWordMsgsMatches(t *testing.T) {
-	for seed := uint64(1); seed <= 64; seed++ {
-		n := 1 + int(seed)%9
-		ms := make([]Msg, n)
-		ws := make([]WordMsg, n)
-		for i := 0; i < n; i++ {
-			ms[i] = Msg{Data: i}
-			ws[i] = WordMsg{W: uint64(i)}
-		}
-		shuffleMsgs(ms, seed)
-		shuffleWordMsgs(ws, seed)
-		for i := range ms {
-			if ms[i].Data.(int) != int(ws[i].W) {
-				t.Fatalf("seed %d: permutations diverge at %d", seed, i)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/model"
 	"repro/internal/order"
-	"repro/internal/view"
 )
 
 // This file is the server's workload layer: each compute function
@@ -200,34 +199,21 @@ func computeRun(ctx context.Context, hostDesc, algo string, seed int64, faults s
 		if rmax >= 1 {
 			r = rmax
 		}
+		maxRounds := r + 2
 		if sched != nil {
-			states, rounds, rep, err := model.RunRoundsStatesFaultyCtx(ctx, h, nil, model.GatherViews(r), r+2+gatherFaultSlack, sched)
-			if err != nil {
-				return nil, err
-			}
-			types := map[*view.Tree]bool{}
-			for v, st := range states {
-				if rep.CrashedNode(v) {
-					continue
-				}
-				types[st.(*model.GatherState).Tree] = true
-			}
-			resp.Rounds, resp.Size = rounds, len(types)
+			maxRounds += gatherFaultSlack
+		}
+		trees, rounds, rep, err := model.Gather(ctx, h, r, maxRounds, sched)
+		if err != nil {
+			return nil, err
+		}
+		resp.Rounds, resp.Size = rounds, model.ViewTypes(trees, rep)
+		if sched != nil {
 			resp.Faults = &faultResult{
 				Profile: profDesc, Crashed: rep.NumCrashed,
 				Dropped: rep.Dropped, Duplicated: rep.Duplicated,
 				Reordered: rep.Reordered,
 			}
-		} else {
-			states, rounds, err := model.RunRoundsStatesCtx(ctx, h, nil, model.GatherViews(r), r+2)
-			if err != nil {
-				return nil, err
-			}
-			types := map[*view.Tree]bool{}
-			for _, st := range states {
-				types[st.(*model.GatherState).Tree] = true
-			}
-			resp.Rounds, resp.Size = rounds, len(types)
 		}
 	default:
 		return nil, fmt.Errorf("unknown workload %q\n%s", algo, describeWorkloads())

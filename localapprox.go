@@ -82,16 +82,12 @@ type (
 	// SearchOptions bounds the homogeneous-construction search.
 	SearchOptions = homog.SearchOptions
 	// Engine is the batched worker-parallel round simulator: a CSR
-	// message plane sized once from the host's arcs, double-buffered
-	// arenas, an active-set worklist and persistent per-run workers.
+	// word-lane message plane sized once from the host's arcs, an
+	// active-set worklist and persistent per-run workers.
 	Engine = model.Engine
-	// EngineAlgo is the engine-native round-algorithm form (Step
-	// writes its outbox straight into the message plane).
-	EngineAlgo = model.EngineAlgo
-	// RoundAlgo is the classical slice-returning round algorithm.
+	// RoundAlgo is the classical slice-returning round algorithm that
+	// the reference loop (RunRoundsRef) runs.
 	RoundAlgo = model.RoundAlgo
-	// Outbox routes a node's outgoing messages into the plane.
-	Outbox = model.Outbox
 	// Msg is one message on an incident arc.
 	Msg = model.Msg
 	// NodeInfo is a node's initial knowledge.
@@ -110,7 +106,7 @@ type (
 	// sends addressed by local slot (DESIGN.md §9).
 	TypedAlgo[S any] = model.TypedAlgo[S]
 	// TypedEngine couples an Engine's message plane with a columnar
-	// state array; typed and untyped runs may alternate on one plane.
+	// state array.
 	TypedEngine[S any] = model.TypedEngine[S]
 	// WordAlgo is the fully packed uint64-state typed algorithm form.
 	WordAlgo = model.WordAlgo
@@ -159,39 +155,23 @@ var (
 	RegisterFamily = host.Register
 )
 
-// Hosts and runners. RunRounds executes through the batched round
-// engine (NewEngine exposes it directly for arena reuse across runs);
-// RunRoundsReference is the retained sequential specification loop,
-// and SimulatePORounds drives a PO algorithm operationally through
-// the engine's message plane.
+// Hosts and runners. RunRoundsRef is the sequential specification
+// loop; SimulatePORounds drives a PO algorithm operationally through
+// the engine (DESIGN.md §9), whose packed uint64 form RunRoundsWord
+// and NewWordEngine expose (model.TypedOn[S] gives any state type).
 var (
-	HostFromGraph    = model.HostFromGraph
-	NewHost          = model.NewHost
-	RunPO            = model.RunPO
-	RunOI            = model.RunOI
-	RunID            = model.RunID
-	RunRounds        = model.RunRounds
-	NewEngine        = model.NewEngine
-	RunRoundsRef     = model.RunRoundsReference
-	SimulatePO       = model.SimulatePO
-	SimulatePORounds = model.SimulatePORounds
-)
-
-// The typed columnar path (DESIGN.md §9): states live in contiguous
-// []S columns and payloads in the plane's fixed-width uint64 word
-// lane — no interface boxing on the hot loop. RunRoundsWord and
-// NewWordEngine are the packed uint64 instantiations Cole–Vishkin and
-// the randomized matching run on; the generic forms
-// (model.RunRoundsTyped[S], model.NewTypedEngine[S], model.TypedOn[S])
-// are reachable through the aliases above for any state type.
-// SimulatePORoundsTyped gathers views over the word lane (column
-// handles to hash-consed trees) — byte-identical to SimulatePORounds.
-var (
-	NewWordEngine               = model.NewWordEngine
-	RunRoundsWord               = model.RunRoundsTyped[uint64]
-	RunRoundsWordFaulty         = model.RunRoundsTypedFaulty[uint64]
-	SimulatePORoundsTyped       = model.SimulatePORoundsTyped
-	SimulatePORoundsTypedFaulty = model.SimulatePORoundsTypedFaulty
+	HostFromGraph       = model.HostFromGraph
+	NewHost             = model.NewHost
+	RunPO               = model.RunPO
+	RunOI               = model.RunOI
+	RunID               = model.RunID
+	NewEngine           = model.NewEngine
+	NewWordEngine       = model.NewWordEngine
+	RunRoundsWord       = model.RunRoundsTyped[uint64]
+	RunRoundsWordFaulty = model.RunRoundsTypedFaulty[uint64]
+	RunRoundsRef        = model.RunRoundsReference
+	SimulatePO          = model.SimulatePO
+	SimulatePORounds    = model.SimulatePORounds
 )
 
 // The sharded giant-host plane (DESIGN.md §12): NewShardedEngine
@@ -243,18 +223,16 @@ var (
 	VisitShardedMatching            = algorithms.VisitShardedMatching
 )
 
-// Fault injection (DESIGN.md §8): every engine entry point has a
-// *Faulty twin taking a Schedule built from a parseable profile
-// descriptor. A faulty execution is a pure function of (host, ids,
-// algorithm, profile descriptor, seed) — reproducible bit-for-bit,
-// independent of worker count. ParseFaultProfile errors list the
-// grammar; a nil Schedule (or the "clean" profile) is byte-identical
-// to the clean engine.
+// Fault injection (DESIGN.md §8): the *Faulty entry points take a
+// Schedule built from a parseable profile descriptor. A faulty
+// execution is a pure function of (host, ids, algorithm, profile
+// descriptor, seed), independent of worker count. ParseFaultProfile
+// errors list the grammar; a nil Schedule (or the "clean" profile) is
+// byte-identical to the clean engine.
 var (
 	ParseFaultProfile        = model.ParseProfile
 	MustParseFaultProfile    = model.MustParseProfile
 	FaultProfiles            = model.DescribeProfiles
-	RunRoundsFaulty          = model.RunRoundsFaulty
 	SimulatePORoundsFaulty   = model.SimulatePORoundsFaulty
 	ColeVishkinFaulty        = algorithms.ColeVishkinMISFaulty
 	RandomizedMatchingFaulty = algorithms.RandomizedMatchingFaulty
@@ -280,12 +258,13 @@ var (
 )
 
 // View gathering: each node's radius-r view tree by the
-// level-synchronous assembly; GatheredTreesAll keeps every
-// intermediate level — all radii 0..rmax from the single pass the
-// deepest radius alone costs.
+// level-synchronous assembly; GatheredTreesAll keeps every level
+// 0..rmax from the one pass. Gather gathers by message passing on the
+// engine, optionally under a fault schedule.
 var (
 	GatheredTrees    = model.GatheredTrees
 	GatheredTreesAll = model.GatheredTreesAll
+	Gather           = model.Gather
 )
 
 // Algorithms. RandomizedMatching runs the §6.5 one-round mutual
@@ -315,16 +294,12 @@ var (
 	RunAllExperiments    = experiments.RunAll
 )
 
-// Deadline-aware entry points: the *Ctx twins of the engine runners,
-// the scale-mode algorithms and the layered sweep thread a
-// context.Context into the round loop and the sweep loop, where it is
-// polled cooperatively — a cancelled run stops at the next round
-// barrier (sweep: the next vertex batch), releases its workers and
-// returns the wrapped context error. The non-Ctx names above are the
-// same code with no context armed.
+// Deadline-aware entry points: the *Ctx twins (and Gather, and
+// Engine.WithContext) poll a context.Context cooperatively — a
+// cancelled run stops at the next round barrier (sweep: the next
+// vertex batch), releases its workers and returns the wrapped context
+// error.
 var (
-	RunRoundsCtx                = model.RunRoundsStatesCtx
-	RunRoundsFaultyCtx          = model.RunRoundsStatesFaultyCtx
 	SweepMeasureAllCtx          = order.SweepMeasureAllCtx
 	ColeVishkinCtx              = algorithms.ColeVishkinMISCtx
 	ColeVishkinFaultyCtx        = algorithms.ColeVishkinMISFaultyCtx
@@ -354,8 +329,7 @@ var NewServer = serve.New
 // OpenJobs, retry transient failures with backoff, and produce result
 // bytes identical to an uninterrupted run. Engine snapshot/resume is
 // also usable directly: Snapshot at a round barrier, Resume on a fresh
-// engine of the same host — byte-deterministic, clean and faulty,
-// untyped and typed word-lane alike.
+// engine of the same host — byte-deterministic, clean and faulty.
 type (
 	// JobManager owns the worker pool, the job directory and the
 	// lifecycle (attach to a Server with AttachJobs).
