@@ -30,16 +30,15 @@ Modes:
 Watched benchmarks (the CSR/interner/sweep/round-engine hot paths the
 repo promises not to regress): ViewEncode, CanonicalBall,
 CanonicalBallParallel, SweepMeasure, SweepMeasureAll, E14Views,
-RunRounds (the message-plane engine: one steady-state round on the
-4096-node torus at parallelism 8 — its 0 allocs/op baseline pins the
-zero-allocation round promise; par.Set(8) fixes the worker count, so
-on smaller runners the workers timeshare and the measured ns/op can
-only be conservative), RunRoundsFaulty (the same round under the
-lossy:p=0.05 fault schedule — pins both the faulty path's overhead
-and its own 0 allocs/op steady state), RunRoundsTyped and
-RunRoundsTypedFaulty (the typed word-lane engine on the same torus:
-the uint64 columnar path must hold its speedup over the boxed plane
-and its 0 allocs/op steady state, clean and faulty alike), and
+RunRounds (one radius-2 model.Gather on the 4096-node torus at
+parallelism 8: engine construction, three rounds of column-handle
+messages and the hash-consed view assembly; par.Set(8) fixes the
+worker count, so on smaller runners the workers timeshare and the
+measured ns/op can only be conservative), RunRoundsFaulty (the same
+gather under the lossy:p=0.05 fault schedule), RunRoundsTyped and
+RunRoundsTypedFaulty (one steady-state word-lane round on the same
+torus: its 0 allocs/op baseline pins the zero-allocation round
+promise, clean and faulty alike), and
 EngineMillionCycleTyped (the typed million-node round: pins the word
 lane's per-round cost at memory-bound scale; its allocs_op baseline is
 null on purpose — the benchmark amortises one run's setup over b.N
