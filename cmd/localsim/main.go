@@ -308,7 +308,7 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 		return usagef("unknown scale workload %q\n%s", algo, describeScaleWorkloads())
 	}
 	if ck.dir != "" && algo == "gather" {
-		return usagef("-checkpoint does not support gather (untyped view state has no snapshot codec)")
+		return usagef("-checkpoint does not support gather (its view trees live outside the engine's state column)")
 	}
 	if rounds != 0 && algo != "flood" {
 		return usagef("-rounds is the flood horizon; %s derives its own round count", algo)

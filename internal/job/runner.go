@@ -236,9 +236,9 @@ const gatherFaultSlack = 256
 
 // runEngineWorkload runs the /v1/run workloads as durable jobs. The
 // word-lane workloads (cole-vishkin, matching) checkpoint and resume
-// through the engine's default uint64 codec; gather's untyped view
-// state has no codec, so gather jobs restart from scratch after a
-// crash instead of resuming.
+// through the engine's default uint64 codec; gather's view trees live
+// outside the engine's state column and are not snapshotted, so gather
+// jobs restart from scratch after a crash instead of resuming.
 func runEngineWorkload(a *attempt, spec Spec) ([]byte, error) {
 	h, desc, err := resolveHost(spec.Host)
 	if err != nil {

@@ -491,7 +491,7 @@ func (sh *shard) fail(se *ShardedEngine, v int32, err error) {
 	se.errFlag.Store(true)
 }
 
-// SendWord is Outbox.SendWord on the sharded plane: same checks, same
+// SendWord is (*Outbox).SendWord on the sharded plane: same checks, same
 // error strings (with global node ids), remote slots staged instead
 // of written.
 func (ob *ShardOutbox) SendWord(slot int, w uint64) {

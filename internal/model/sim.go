@@ -409,7 +409,7 @@ func SimulatePORounds(h *Host, alg PO, kind Kind) (*Solution, error) {
 // selections are simply absent from the solution). maxRounds bounds
 // the run as in Gather.
 func SimulatePORoundsFaulty(h *Host, alg PO, kind Kind, sched Schedule, maxRounds int) (*Solution, *FaultReport, error) {
-	trees, _, rep, err := Gather(context.Background(), h, alg.Radius(), maxRounds, sched)
+	trees, _, rep, err := Gather(context.TODO(), h, alg.Radius(), maxRounds, sched)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -34,9 +34,9 @@ type WordMsg struct {
 //   - Step mutates the state in place through *S and returns only the
 //     halt flag. The inbox aliases per-worker scratch and is valid
 //     only during the call.
-//   - Sends go through Outbox.SendWord (one slot; a second send on it
-//     in one round is an error) or Outbox.BroadcastWord (whole slot
-//     row, unchecked overwrite).
+//   - Sends go through SendWord (one slot; a second send on it in one
+//     round is an error) or BroadcastWord (whole slot row, unchecked
+//     overwrite).
 type TypedAlgo[S any] struct {
 	// Init returns node v's initial state; called sequentially in
 	// increasing node order, so it may consume a shared RNG or a
