@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -76,28 +77,93 @@ func TestValidInvocationExitsZero(t *testing.T) {
 	}
 }
 
-// The gather scale workload's result lines are pinned byte for byte
-// (wall time stripped): clean, lossy and crash-stop runs on tori.
-func TestGatherResultLinesPinned(t *testing.T) {
+// Scale-mode stdout is pinned byte for byte, wall times stripped: every
+// workload clean, lossy and crash-stop, flat and at -shards 2.
+func TestScaleResultLinesPinned(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
+		args string
 		want string
 	}{
-		{[]string{"-algo", "gather", "-host", "torus:200x200", "-rmax", "2"},
-			"rounds: 3   radius-2 view types: 49   wall:"},
-		{[]string{"-algo", "gather", "-host", "torus:30x30", "-rmax", "3", "-faults", "lossy:p=0.05"},
-			"rounds: 4   radius-3 view types: 720   crashed: 0   dropped: 538   wall:"},
-		{[]string{"-algo", "gather", "-host", "torus:30x30", "-rmax", "2", "-faults", "crash:f=40,by=2"},
-			"rounds: 3   radius-2 view types: 133   crashed: 40   dropped: 0   wall:"},
+		{"-algo gather -host torus:200x200 -rmax 2",
+			"scale mode: gather on torus:200x200 (n=40000, m=80000)\n" +
+				"rounds: 3   radius-2 view types: 49   wall:"},
+		{"-algo gather -host torus:30x30 -rmax 3 -faults lossy:p=0.05",
+			"scale mode: gather on torus:30x30 (n=900, m=1800) under faults lossy:p=0.05\n" +
+				"rounds: 4   radius-3 view types: 720   crashed: 0   dropped: 538   wall:"},
+		{"-algo gather -host torus:30x30 -rmax 2 -faults crash:f=40,by=2",
+			"scale mode: gather on torus:30x30 (n=900, m=1800) under faults crash:f=40,by=2\n" +
+				"rounds: 3   radius-2 view types: 133   crashed: 40   dropped: 0   wall:"},
+		{"-algo cole-vishkin -host dcycle:1000 -seed 3",
+			"scale mode: cole-vishkin on dcycle:1000 (n=1000, m=1000)\n" +
+				"rounds: 12   |MIS| = 437   |MIS|/n = 0.4370   feasible: yes   wall:"},
+		{"-algo cole-vishkin -host dcycle:1000 -seed 3 -faults lossy:p=0.05",
+			"scale mode: cole-vishkin on dcycle:1000 (n=1000, m=1000) under faults lossy:p=0.05\n" +
+				"rounds: 12   |MIS| = 461   crashed: 0   dropped: 1098   violations: 33   uncovered: 0   wall:"},
+		{"-algo cole-vishkin -host dcycle:1000 -seed 3 -faults crash:f=40,by=8",
+			"scale mode: cole-vishkin on dcycle:1000 (n=1000, m=1000) under faults crash:f=40,by=8\n" +
+				"rounds: 12   |MIS| = 423   crashed: 40   dropped: 0   violations: 0   uncovered: 0   wall:"},
+		{"-algo cole-vishkin -host dcycle:1000 -seed 3 -shards 2",
+			"sharded scale mode: cole-vishkin on dcycle:1000 (n=1000, P=2)\n" +
+				"rounds: 12   |MIS| = 442   |MIS|/n = 0.4420   feasible: yes   wall:\n" +
+				"shards: 2   cross-shard arcs: 4   exchanged words: 44"},
+		{"-algo cole-vishkin -host dcycle:1000 -seed 3 -shards 2 -faults lossy:p=0.05",
+			"sharded scale mode: cole-vishkin on dcycle:1000 (n=1000, P=2) under faults lossy:p=0.05\n" +
+				"rounds: 12   |MIS| = 463   crashed: 0   dropped: 1098   violations: 29   uncovered: 0   wall:\n" +
+				"shards: 2   cross-shard arcs: 4   exchanged words: 44"},
+		{"-algo cole-vishkin -host dcycle:1000 -seed 3 -shards 2 -faults crash:f=40,by=8",
+			"sharded scale mode: cole-vishkin on dcycle:1000 (n=1000, P=2) under faults crash:f=40,by=8\n" +
+				"rounds: 12   |MIS| = 442   crashed: 40   dropped: 0   violations: 0   uncovered: 0   wall:\n" +
+				"shards: 2   cross-shard arcs: 4   exchanged words: 44"},
+		{"-algo cole-vishkin -host dcycle:16 -shards 32",
+			"sharded scale mode: cole-vishkin on dcycle:16 (n=16, P=32)\n" +
+				"rounds: 10   |MIS| = 6   |MIS|/n = 0.3750   feasible: yes   wall:\n" +
+				"shards: 32   cross-shard arcs: 32   exchanged words: 288"},
+		{"-algo matching -host torus:30x30 -seed 3",
+			"scale mode: matching on torus:30x30 (n=900, m=1800)\n" +
+				"rounds: 2   |M| = 108   |M|/n = 0.1200   feasible: yes   wall:"},
+		{"-algo matching -host torus:30x30 -seed 3 -faults lossy:p=0.05",
+			"scale mode: matching on torus:30x30 (n=900, m=1800) under faults lossy:p=0.05\n" +
+				"rounds: 2   |M| = 108   crashed: 0   dropped: 53   conflicts: 0   wall:"},
+		{"-algo matching -host torus:30x30 -seed 3 -faults crash:f=40,by=2",
+			"scale mode: matching on torus:30x30 (n=900, m=1800) under faults crash:f=40,by=2\n" +
+				"rounds: 2   |M| = 99   crashed: 40   dropped: 0   conflicts: 0   wall:"},
+		{"-algo matching -host torus:30x30 -seed 3 -shards 2",
+			"sharded scale mode: matching on torus:30x30 (n=900, P=2)\n" +
+				"rounds: 2   |M| = 108   |M|/n = 0.1200   conflicts: 0   wall:\n" +
+				"shards: 2   cross-shard arcs: 120   exchanged words: 21"},
+		{"-algo matching -host torus:30x30 -seed 3 -shards 2 -faults lossy:p=0.05",
+			"sharded scale mode: matching on torus:30x30 (n=900, P=2) under faults lossy:p=0.05\n" +
+				"rounds: 2   |M| = 108   crashed: 0   dropped: 54   conflicts: 0   wall:\n" +
+				"shards: 2   cross-shard arcs: 120   exchanged words: 21"},
+		{"-algo matching -host torus:30x30 -seed 3 -shards 2 -faults crash:f=40,by=2",
+			"sharded scale mode: matching on torus:30x30 (n=900, P=2) under faults crash:f=40,by=2\n" +
+				"rounds: 2   |M| = 99   crashed: 40   dropped: 0   conflicts: 0   wall:\n" +
+				"shards: 2   cross-shard arcs: 120   exchanged words: 21"},
+		{"-algo flood -host cycle:512 -rounds 100 -seed 3",
+			"scale mode: flood on cycle:512 (n=512, m=512)\n" +
+				"rounds: 101   leader: 4091   converged@: 201   wall:"},
+		{"-algo flood -host cycle:512 -rounds 100 -seed 3 -faults lossy:p=0.05",
+			"scale mode: flood on cycle:512 (n=512, m=512) under faults lossy:p=0.05\n" +
+				"rounds: 101   leader: 4091   converged@: 190   crashed: 0   dropped: 5153   wall:"},
+		{"-algo flood -host cycle:512 -rounds 100 -seed 3 -faults crash:f=40,by=8",
+			"scale mode: flood on cycle:512 (n=512, m=512) under faults crash:f=40,by=8\n" +
+				"rounds: 101   leader: 4091   converged@: 20   crashed: 40   dropped: 0   wall:"},
 	} {
-		out, err := exec.Command(binPath, tc.args...).Output()
+		out, err := exec.Command(binPath, strings.Fields(tc.args)...).Output()
 		if err != nil {
-			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+			t.Fatalf("%s: %v\n%s", tc.args, err, out)
 		}
-		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-		got, _, _ := strings.Cut(lines[len(lines)-1], "wall:")
-		if got+"wall:" != tc.want {
-			t.Errorf("%v:\n got  %q\n want %q", tc.args, got+"wall:", tc.want)
+		if got := stripWall(string(out)); got != tc.want {
+			t.Errorf("%s:\n got  %q\n want %q", tc.args, got, tc.want)
 		}
 	}
+}
+
+// wallTime matches the wall-clock suffix of a scale-mode result line.
+var wallTime = regexp.MustCompile(`wall: \S+`)
+
+// stripWall trims stdout and blanks its wall times, leaving the bytes
+// that are a pure function of the invocation.
+func stripWall(out string) string {
+	return wallTime.ReplaceAllString(strings.TrimSpace(out), "wall:")
 }

@@ -406,9 +406,9 @@ func TestJobSaturation(t *testing.T) {
 	}
 }
 
-// TestGatherJobResultsPinned: gather job result bodies are pinned byte
-// for byte, clean and lossy.
-func TestGatherJobResultsPinned(t *testing.T) {
+// TestJobResultsPinned: run and flood job result bodies are pinned
+// byte for byte, clean, lossy and crash-stop.
+func TestJobResultsPinned(t *testing.T) {
 	m := openTestManager(t, Config{Workers: 2})
 	for _, tc := range []struct {
 		spec Spec
@@ -418,6 +418,24 @@ func TestGatherJobResultsPinned(t *testing.T) {
 			`{"kind":"run","host":"torus:20x20","algo":"gather","n":400,"seed":1,"rounds":4,"size":81}`},
 		{Spec{Kind: "run", Algo: "gather", Host: "torus:20x20", Rmax: 3, Seed: 4, Faults: "lossy:p=0.1"},
 			`{"kind":"run","host":"torus:20x20","algo":"gather","n":400,"seed":4,"rounds":4,"size":399,"faults":{"profile":"lossy:p=0.1","crashed":0,"dropped":487,"duplicated":0,"reordered":0}}`},
+		{Spec{Kind: "run", Algo: "cole-vishkin", Host: "dcycle:1000", Seed: 3},
+			`{"kind":"run","host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":437}`},
+		{Spec{Kind: "run", Algo: "cole-vishkin", Host: "dcycle:1000", Seed: 3, Faults: "lossy:p=0.05"},
+			`{"kind":"run","host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":461,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":1098,"duplicated":0,"reordered":0,"violations":33}}`},
+		{Spec{Kind: "run", Algo: "cole-vishkin", Host: "dcycle:1000", Seed: 3, Faults: "crash:f=40,by=8"},
+			`{"kind":"run","host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":423,"faults":{"profile":"crash:f=40,by=8","crashed":40,"dropped":0,"duplicated":0,"reordered":0}}`},
+		{Spec{Kind: "run", Algo: "matching", Host: "torus:30x30", Seed: 3},
+			`{"kind":"run","host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108}`},
+		{Spec{Kind: "run", Algo: "matching", Host: "torus:30x30", Seed: 3, Faults: "lossy:p=0.05"},
+			`{"kind":"run","host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":53,"duplicated":0,"reordered":0}}`},
+		{Spec{Kind: "run", Algo: "matching", Host: "torus:30x30", Seed: 3, Faults: "crash:f=40,by=2"},
+			`{"kind":"run","host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":99,"faults":{"profile":"crash:f=40,by=2","crashed":40,"dropped":0,"duplicated":0,"reordered":0}}`},
+		{Spec{Kind: "flood", Host: "cycle:512", Seed: 3, Rounds: 100},
+			`{"kind":"flood","host":"cycle:512","n":512,"seed":3,"horizon":100,"rounds":101,"leader":4091,"converged":201}`},
+		{Spec{Kind: "flood", Host: "cycle:512", Seed: 3, Rounds: 100, Faults: "lossy:p=0.05"},
+			`{"kind":"flood","host":"cycle:512","n":512,"seed":3,"horizon":100,"rounds":101,"leader":4091,"converged":190,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":5153,"duplicated":0,"reordered":0}}`},
+		{Spec{Kind: "flood", Host: "cycle:512", Seed: 3, Rounds: 100, Faults: "crash:f=40,by=8"},
+			`{"kind":"flood","host":"cycle:512","n":512,"seed":3,"horizon":100,"rounds":101,"leader":4091,"converged":20,"faults":{"profile":"crash:f=40,by=8","crashed":40,"dropped":0,"duplicated":0,"reordered":0}}`},
 	} {
 		st, err := m.Submit(tc.spec)
 		if err != nil {

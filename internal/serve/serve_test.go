@@ -440,9 +440,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// The /v1/run gather response bodies are pinned byte for byte, clean
-// and under drop, duplicate+reorder and crash-recover schedules.
-func TestRunGatherBodiesPinned(t *testing.T) {
+// The /v1/run response bodies are pinned byte for byte: every
+// workload clean and under drop and crash schedules, gather also under
+// duplicate+reorder and crash-recover, cole-vishkin and matching also
+// at shards=2.
+func TestRunBodiesPinned(t *testing.T) {
 	s := New(Config{})
 	for _, tc := range []struct{ target, want string }{
 		{"/v1/run?algo=gather&host=torus:30x30&rmax=3",
@@ -453,6 +455,32 @@ func TestRunGatherBodiesPinned(t *testing.T) {
 			`{"host":"torus:20x20","algo":"gather","n":400,"seed":5,"rounds":3,"size":49,"faults":{"profile":"dup+reorder:p=0.25","crashed":0,"dropped":0,"duplicated":824,"reordered":800,"violations":0,"uncovered":0,"conflicts":0}}`},
 		{"/v1/run?algo=gather&host=torus:20x20&rmax=3&faults=crash:f=30,by=2,recover=2&seed=9",
 			`{"host":"torus:20x20","algo":"gather","n":400,"seed":9,"rounds":4,"size":320,"faults":{"profile":"crash:f=30,by=2,recover=2","crashed":0,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3",
+			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":437}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3&faults=lossy:p=0.05",
+			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":461,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":1098,"duplicated":0,"reordered":0,"violations":33,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3&faults=crash:f=40,by=8",
+			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":423,"faults":{"profile":"crash:f=40,by=8","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3&shards=2",
+			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":442,"sharded":{"p":2,"cross_arcs":4,"exchanged_words":44}}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3&faults=lossy:p=0.05&shards=2",
+			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":463,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":1098,"duplicated":0,"reordered":0,"violations":29,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":4,"exchanged_words":44}}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3&faults=crash:f=40,by=8&shards=2",
+			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":442,"faults":{"profile":"crash:f=40,by=8","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":4,"exchanged_words":44}}`},
+		{"/v1/run?algo=cole-vishkin&host=dcycle:16&shards=32",
+			`{"host":"dcycle:16","algo":"cole-vishkin","n":16,"seed":1,"rounds":10,"size":6,"sharded":{"p":32,"cross_arcs":32,"exchanged_words":288}}`},
+		{"/v1/run?algo=matching&host=torus:30x30&seed=3",
+			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108}`},
+		{"/v1/run?algo=matching&host=torus:30x30&seed=3&faults=lossy:p=0.05",
+			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":53,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=matching&host=torus:30x30&seed=3&faults=crash:f=40,by=2",
+			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":99,"faults":{"profile":"crash:f=40,by=2","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=matching&host=torus:30x30&seed=3&shards=2",
+			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108,"sharded":{"p":2,"cross_arcs":120,"exchanged_words":21}}`},
+		{"/v1/run?algo=matching&host=torus:30x30&seed=3&faults=lossy:p=0.05&shards=2",
+			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":54,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":120,"exchanged_words":21}}`},
+		{"/v1/run?algo=matching&host=torus:30x30&seed=3&faults=crash:f=40,by=2&shards=2",
+			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":99,"faults":{"profile":"crash:f=40,by=2","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":120,"exchanged_words":21}}`},
 	} {
 		rr := do(t, s, tc.target)
 		if rr.Code != 200 || rr.Body.String() != tc.want {
