@@ -1,13 +1,19 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/job"
+	"repro/internal/serve"
 )
 
 // binPath is the localsim binary built once by TestMain.
@@ -166,4 +172,142 @@ var wallTime = regexp.MustCompile(`wall: \S+`)
 // that are a pure function of the invocation.
 func stripWall(out string) string {
 	return wallTime.ReplaceAllString(strings.TrimSpace(out), "wall:")
+}
+
+// frontEndAnswer is what every front end reports for one engine run:
+// the round count, the solution size and the fault counters.
+type frontEndAnswer struct {
+	Rounds, Size                     int
+	Crashed, Dropped                 int64
+	Violations, Uncovered, Conflicts int
+}
+
+// resultField matches one "name: value" or "|X| = value" pair of a
+// scale-mode result line.
+var resultField = regexp.MustCompile(`(rounds|\|MIS\||\|M\||view types|converged@|crashed|dropped|violations|uncovered|conflicts):? =? ?(\d+)`)
+
+// localsimAnswer parses the result line of a scale-mode run.
+func localsimAnswer(t *testing.T, out string) frontEndAnswer {
+	t.Helper()
+	var a frontEndAnswer
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	for _, m := range resultField.FindAllStringSubmatch(lines[1], -1) {
+		var v int
+		fmt.Sscan(m[2], &v)
+		switch m[1] {
+		case "rounds":
+			a.Rounds = v
+		case "|MIS|", "|M|", "view types", "converged@":
+			a.Size = v
+		case "crashed":
+			a.Crashed = int64(v)
+		case "dropped":
+			a.Dropped = int64(v)
+		case "violations":
+			a.Violations = v
+		case "uncovered":
+			a.Uncovered = v
+		case "conflicts":
+			a.Conflicts = v
+		}
+	}
+	return a
+}
+
+// jsonAnswer decodes the shared fields of a /v1/run body or a run job
+// result.
+func jsonAnswer(t *testing.T, body []byte) frontEndAnswer {
+	t.Helper()
+	var r struct {
+		Rounds, Size int
+		Faults       struct {
+			Crashed                          int64
+			Dropped                          int64
+			Violations, Uncovered, Conflicts int
+		}
+	}
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
+	f := r.Faults
+	return frontEndAnswer{r.Rounds, r.Size, f.Crashed, f.Dropped, f.Violations, f.Uncovered, f.Conflicts}
+}
+
+// The CLI, the HTTP service and the job subsystem give one answer: each
+// (workload, host, seed, faults) case runs through the localsim
+// binary, the /v1/run handler and a job manager, and all three must
+// report the same rounds, size and fault counters.
+func TestFrontEndsAgree(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	jobs, err := job.Open(job.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jobs.Close()
+	for _, tc := range []struct {
+		algo, host string
+		seed       int64
+		faults     string
+		want       frontEndAnswer
+	}{
+		{"cole-vishkin", "dcycle:1000", 3, "", frontEndAnswer{Rounds: 12, Size: 437}},
+		{"cole-vishkin", "dcycle:1000", 3, "lossy:p=0.05", frontEndAnswer{Rounds: 12, Size: 461, Dropped: 1098, Violations: 33}},
+		{"cole-vishkin", "dcycle:1000", 3, "crash:f=40,by=8", frontEndAnswer{Rounds: 12, Size: 423, Crashed: 40}},
+		{"matching", "torus:30x30", 3, "", frontEndAnswer{Rounds: 2, Size: 108}},
+		{"matching", "torus:30x30", 3, "lossy:p=0.05", frontEndAnswer{Rounds: 2, Size: 108, Dropped: 53}},
+		{"matching", "torus:30x30", 3, "crash:f=40,by=2", frontEndAnswer{Rounds: 2, Size: 99, Crashed: 40}},
+		{"gather", "torus:20x20", 4, "", frontEndAnswer{Rounds: 3, Size: 49}},
+		{"gather", "torus:20x20", 4, "lossy:p=0.1", frontEndAnswer{Rounds: 3, Size: 263, Dropped: 330}},
+	} {
+		name := tc.algo + "/" + tc.host + "/" + tc.faults
+		args := []string{"-algo", tc.algo, "-host", tc.host, "-seed", fmt.Sprint(tc.seed)}
+		target := fmt.Sprintf("/v1/run?algo=%s&host=%s&seed=%d", tc.algo, tc.host, tc.seed)
+		if tc.faults != "" {
+			args = append(args, "-faults", tc.faults)
+			target += "&faults=" + tc.faults
+		}
+		out, err := exec.Command(binPath, args...).Output()
+		if err != nil {
+			t.Fatalf("%s: localsim: %v\n%s", name, err, out)
+		}
+		cli := localsimAnswer(t, string(out))
+
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
+		if rr.Code != 200 {
+			t.Fatalf("%s: /v1/run: %d %s", name, rr.Code, rr.Body.String())
+		}
+		viaHTTP := jsonAnswer(t, rr.Body.Bytes())
+
+		st, err := jobs.Submit(job.Spec{Kind: "run", Algo: tc.algo, Host: tc.host, Seed: tc.seed, Faults: tc.faults})
+		if err != nil {
+			t.Fatalf("%s: submit: %v", name, err)
+		}
+		body := jobResult(t, jobs, st.ID)
+		viaJob := jsonAnswer(t, body)
+
+		if cli != tc.want || viaHTTP != tc.want || viaJob != tc.want {
+			t.Errorf("%s:\n localsim %+v\n /v1/run  %+v\n job      %+v\n want     %+v", name, cli, viaHTTP, viaJob, tc.want)
+		}
+	}
+}
+
+// jobResult waits for a job to finish and returns its result body.
+func jobResult(t *testing.T, m *job.Manager, id string) []byte {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		st, _ := m.Get(id)
+		switch st.State {
+		case "done":
+			body, err := m.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return body
+		case "failed":
+			t.Fatalf("job %s failed: %s", id, st.Error)
+		}
+	}
+	t.Fatalf("job %s did not finish", id)
+	return nil
 }
