@@ -279,13 +279,13 @@ func benchGather(b *testing.B, profile string) {
 		maxRounds += 256
 	}
 	ctx := context.Background()
-	if _, _, _, err := model.Gather(ctx, h, 2, maxRounds, sched); err != nil {
+	if _, _, _, err := model.Gather(model.NewEngine(h).WithContext(ctx), 2, maxRounds, sched); err != nil {
 		b.Fatal(err) // warm-up: the view interner
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := model.Gather(ctx, h, 2, maxRounds, sched); err != nil {
+		if _, _, _, err := model.Gather(model.NewEngine(h).WithContext(ctx), 2, maxRounds, sched); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -349,12 +349,12 @@ func BenchmarkRunRoundsTyped(b *testing.B) {
 	// stay at 0 allocs/op.
 	defer par.Set(par.Set(8))
 	_, e := torusWordEngine()
-	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8, nil); err != nil {
 		b.Fatal(err) // warm-up: arenas, word lane, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -367,12 +367,12 @@ func BenchmarkRunRoundsTypedFaulty(b *testing.B) {
 	defer par.Set(par.Set(8))
 	h, e := torusWordEngine()
 	sched := model.MustParseProfile("lossy:p=0.05").New(h, 11)
-	if _, _, _, err := e.RunStatesFaulty(nil, benchPulseWordAlgo(4), 8, sched); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8, sched); err != nil {
 		b.Fatal(err) // warm-up: fault scratch, crashed bitmap
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, _, err := e.RunStatesFaulty(nil, benchPulseWordAlgo(b.N), b.N+2, sched); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2, sched); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -386,12 +386,12 @@ func BenchmarkRunRoundsCheckpointIdle(b *testing.B) {
 	_, e := torusWordEngine()
 	e.WithCheckpoints(&model.Checkpointer{Every: 1 << 30})
 	defer e.WithCheckpoints(nil)
-	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8, nil); err != nil {
 		b.Fatal(err) // warm-up: arenas, word lane, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -411,7 +411,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		return nil
 	}}
 	e.WithCheckpoints(ck)
-	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(32), 40); err != nil {
+	if _, _, _, err := e.RunStates(nil, benchPulseWordAlgo(32), 40, nil); err != nil {
 		b.Fatal(err)
 	}
 	e.WithCheckpoints(nil)
@@ -425,7 +425,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := e.Resume(snap).RunStates(nil, benchPulseWordAlgo(32), 40); err != nil {
+		if _, _, _, err := e.Resume(snap).RunStates(nil, benchPulseWordAlgo(32), 40, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -487,12 +487,12 @@ func BenchmarkShardedRound(b *testing.B) {
 	// overhead on local-heavy traffic, recorded in BENCH_pr10.json.
 	defer par.Set(par.Set(8))
 	se, _ := shardedBenchEngines(b)
-	if _, err := se.Run(nil, benchPulseShardedAlgo(4), 8); err != nil {
+	if _, _, err := se.Run(nil, benchPulseShardedAlgo(4), 8, nil); err != nil {
 		b.Fatal(err) // warm-up: arenas, exchange staging, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2); err != nil {
+	if _, _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -505,12 +505,12 @@ func BenchmarkShardedExchange(b *testing.B) {
 	// exchange drain per round, also at 0 allocs/op steady state.
 	defer par.Set(par.Set(8))
 	_, se := shardedBenchEngines(b)
-	if _, err := se.Run(nil, benchPulseShardedAlgo(4), 8); err != nil {
+	if _, _, err := se.Run(nil, benchPulseShardedAlgo(4), 8, nil); err != nil {
 		b.Fatal(err) // warm-up: arenas, exchange staging, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2); err != nil {
+	if _, _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -542,12 +542,12 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 	m.Do(func() {
 		m.e = model.NewWordEngine(model.HostFromGraph(graph.Cycle(1_000_000)))
 	})
-	if _, _, err := m.e.RunStates(nil, benchPulseWordAlgo(2), 4); err != nil {
+	if _, _, _, err := m.e.RunStates(nil, benchPulseWordAlgo(2), 4, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := m.e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2); err != nil {
+	if _, _, _, err := m.e.RunStates(nil, benchPulseWordAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -31,11 +31,12 @@
 //	localsim -algo matching -host torus:1000x1000
 //	localsim -algo gather -n 100000 -rmax 3
 //
-// Scale-mode workloads: cole-vishkin (ID MIS on the directed n-cycle,
-// typed word-lane engine), matching (one round of §6.5 randomized
-// mutual proposals, typed word-lane engine), gather (full-information
-// view gathering, radius -rmax or 2). An unknown -algo value lists
-// the workload registry, like -host and -faults.
+// Scale-mode workloads are the shared registry of internal/algorithms,
+// run by the same runner as /v1/run and jobs: cole-vishkin (ID MIS on
+// the directed n-cycle), matching (one round of §6.5 randomized mutual
+// proposals), gather (full-information view gathering, radius -rmax or
+// 2) and flood (see below). An unknown -algo value lists the registry,
+// like -host and -faults.
 //
 // -faults runs the scale-mode workload under a fault schedule
 // (internal/model profiles): messages dropped/duplicated/reordered
@@ -78,9 +79,11 @@
 //	localsim -algo matching -host cycle:100000000 -shards 16
 //	localsim -algo cole-vishkin -n 1000000 -shards 4 -faults lossy:p=0.01
 //
-// P=1 sharded output is byte-identical to the flat engine; fault
-// coordinates stay global, so faulty sharded runs degrade identically
-// too (they need a materialisable host for the schedule constructor).
+// P above n runs n shards, and the shards: line reports the count in
+// use; P above model.MaxShards is an error. P=1 sharded output is
+// byte-identical to the flat engine; fault coordinates stay global, so
+// faulty sharded runs degrade identically too (they need a
+// materialisable host for the schedule constructor).
 package main
 
 import (
@@ -222,16 +225,6 @@ func resolveHost(hostDesc string) (*model.Host, string, error) {
 	return model.HostFromGraph(rh.G), rh.Desc, nil
 }
 
-// scaleWorkloads is the registry of engine scale-mode workloads; an
-// unknown -algo value lists it, in the same self-repairing usage
-// style as the host registry and the fault-profile grammar.
-var scaleWorkloads = []struct{ name, doc string }{
-	{"cole-vishkin", "ID-model MIS on the directed n-cycle (typed word-lane engine)"},
-	{"matching", "one round of §6.5 randomized mutual proposals (typed word-lane engine)"},
-	{"gather", "full-information view gathering, radius -rmax or 2"},
-	{"flood", "FloodMax leader election for -rounds rounds (long-horizon; checkpointable)"},
-}
-
 // ckptSpec carries the -checkpoint/-checkpoint-every/-resume flags into
 // scale mode.
 type ckptSpec struct {
@@ -240,12 +233,11 @@ type ckptSpec struct {
 	resume bool
 }
 
-// engine builds the scale-mode word engine: plain when -checkpoint is
+// engine builds the scale-mode engine: plain when -checkpoint is
 // unset, snapshotting into the store every ck.every rounds when set,
-// and resuming from the latest valid snapshot with -resume. Gather has
-// no word-lane codec, so it rejects -checkpoint.
-func (ck ckptSpec) engine(h *model.Host) (*model.WordEngine, error) {
-	e := model.TypedOn[uint64](model.NewEngine(h))
+// and resuming from the latest valid snapshot with -resume.
+func (ck ckptSpec) engine(h *model.Host) (*model.Engine, error) {
+	e := model.NewEngine(h)
 	if ck.dir == "" {
 		return e, nil
 	}
@@ -279,15 +271,22 @@ func (ck ckptSpec) engine(h *model.Host) (*model.WordEngine, error) {
 	return e.Resume(snap), nil
 }
 
-// describeScaleWorkloads renders the workload registry as a usage
-// listing, appended to unknown -algo errors.
-func describeScaleWorkloads() string {
-	var sb strings.Builder
-	sb.WriteString("scale workloads:\n")
-	for _, w := range scaleWorkloads {
-		fmt.Fprintf(&sb, "  %-14s %s\n", w.name, w.doc)
+// lookupWorkload resolves -algo in the workload registry; an unknown
+// name lists it, in the same self-repairing usage style as the host
+// registry and the fault-profile grammar.
+func lookupWorkload(algo string) (algorithms.Workload, error) {
+	w, ok := algorithms.LookupWorkload(algo)
+	if !ok {
+		return w, usagef("unknown scale workload %q\nscale %s", algo, algorithms.DescribeWorkloads())
 	}
-	return sb.String()
+	return w, nil
+}
+
+// scaleProblems are the problems whose feasibility a clean flat run
+// verifies in full before printing "feasible: yes".
+var scaleProblems = map[string]problems.Problem{
+	"cole-vishkin": problems.MaxIndependentSet{},
+	"matching":     problems.MaxMatching{},
 }
 
 // runScale is the engine scale mode: workloads that stay linear in the
@@ -297,18 +296,12 @@ func describeScaleWorkloads() string {
 // instead, and the report swaps the feasibility guarantee for the
 // injected-fault counts and the survivor-safety checks.
 func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *model.Profile, ck ckptSpec) error {
-	known := false
-	for _, w := range scaleWorkloads {
-		if w.name == algo {
-			known = true
-			break
-		}
+	w, err := lookupWorkload(algo)
+	if err != nil {
+		return err
 	}
-	if !known {
-		return usagef("unknown scale workload %q\n%s", algo, describeScaleWorkloads())
-	}
-	if ck.dir != "" && algo == "gather" {
-		return usagef("-checkpoint does not support gather (its view trees live outside the engine's state column)")
+	if ck.dir != "" && !w.Checkpointed {
+		return usagef("-checkpoint does not support %s (its state lives outside the engine's state column)", algo)
 	}
 	if rounds != 0 && algo != "flood" {
 		return usagef("-rounds is the flood horizon; %s derives its own round count", algo)
@@ -317,7 +310,6 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 	var (
 		h    *model.Host
 		desc string
-		err  error
 	)
 	switch {
 	case hostDesc != "":
@@ -333,121 +325,33 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 		return err
 	}
 	n = h.G.N()
-	var sched model.Schedule
+	spec := algorithms.Spec{Algo: algo, Rmax: rmax, Rounds: rounds}
 	if prof != nil {
-		sched = prof.New(h, seed)
+		spec.Sched = prof.New(h, seed)
 		fmt.Printf("scale mode: %s on %s (n=%d, m=%d) under faults %s\n", algo, desc, n, h.G.M(), prof.Desc)
 	} else {
 		fmt.Printf("scale mode: %s on %s (n=%d, m=%d)\n", algo, desc, n, h.G.M())
 	}
 	start := time.Now()
-	switch algo {
-	case "flood":
-		if rounds < 1 {
-			rounds = n
-		}
-		ids := rng.Perm(8 * n)[:n]
-		e, err := ck.engine(h)
-		if err != nil {
-			return err
-		}
-		var res *algorithms.FloodMaxResult
-		if prof != nil {
-			res, err = algorithms.FloodMaxFaultyOn(e, h, ids, rounds, sched)
-		} else {
-			res, err = algorithms.FloodMaxOn(e, h, ids, rounds)
-		}
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			fmt.Printf("rounds: %d   leader: %d   converged@: %d   crashed: %d   dropped: %d   wall: %s\n",
-				res.Rounds, res.Leader, res.Converged, res.Report.NumCrashed, res.Report.Dropped,
-				time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("rounds: %d   leader: %d   converged@: %d   wall: %s\n",
-				res.Rounds, res.Leader, res.Converged, time.Since(start).Round(time.Millisecond))
-		}
-	case "cole-vishkin":
-		if !h.D.IsRegularDigraph(1) {
-			return fmt.Errorf("cole-vishkin needs a consistently oriented cycle host (out- and in-degree 1)")
-		}
-		ids := rng.Perm(8 * n)[:n]
-		e, err := ck.engine(h)
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			res, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched)
-			if err != nil {
-				return err
-			}
-			rep := res.Report
-			fmt.Printf("rounds: %d   |MIS| = %d   crashed: %d   dropped: %d   violations: %d   uncovered: %d   wall: %s\n",
-				res.Rounds, res.MIS.Size(), rep.NumCrashed, rep.Dropped,
-				res.Violations, res.Uncovered, time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		res, err := algorithms.ColeVishkinMISOn(e, h, ids)
-		if err != nil {
-			return err
-		}
-		if err := (problems.MaxIndependentSet{}).Feasible(h.G, res.MIS); err != nil {
-			return fmt.Errorf("solution infeasible: %w", err)
-		}
-		fmt.Printf("rounds: %d   |MIS| = %d   |MIS|/n = %.4f   feasible: yes   wall: %s\n",
-			res.Rounds, res.MIS.Size(), float64(res.MIS.Size())/float64(n), time.Since(start).Round(time.Millisecond))
-	case "matching":
-		e, err := ck.engine(h)
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			res, err := algorithms.RandomizedMatchingFaultyOn(e, h, rng, sched)
-			if err != nil {
-				return err
-			}
-			rep := res.Report
-			fmt.Printf("rounds: 2   |M| = %d   crashed: %d   dropped: %d   conflicts: %d   wall: %s\n",
-				res.Matching.Size(), rep.NumCrashed, rep.Dropped, res.Conflicts,
-				time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		sol, err := algorithms.RandomizedMatchingOn(e, h, rng)
-		if err != nil {
-			return err
-		}
-		if err := (problems.MaxMatching{}).Feasible(h.G, sol); err != nil {
-			return fmt.Errorf("solution infeasible: %w", err)
-		}
-		fmt.Printf("rounds: 2   |M| = %d   |M|/n = %.4f   feasible: yes   wall: %s\n",
-			sol.Size(), float64(sol.Size())/float64(n), time.Since(start).Round(time.Millisecond))
-	case "gather":
-		r := 2
-		if rmax >= 1 {
-			r = rmax
-		}
-		maxRounds := r + 2
-		if prof != nil {
-			maxRounds += 256
-		}
-		trees, rounds, rep, err := model.Gather(context.Background(), h, r, maxRounds, sched)
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			fmt.Printf("rounds: %d   radius-%d view types: %d   crashed: %d   dropped: %d   wall: %s\n",
-				rounds, r, model.ViewTypes(trees, rep), rep.NumCrashed, rep.Dropped, time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		fmt.Printf("rounds: %d   radius-%d view types: %d   wall: %s\n",
-			rounds, r, model.ViewTypes(trees, rep), time.Since(start).Round(time.Millisecond))
+	e, err := ck.engine(h)
+	if err != nil {
+		return err
 	}
+	out, err := algorithms.Run(context.Background(), e, h, rng, spec)
+	if err != nil {
+		return err
+	}
+	if p := scaleProblems[algo]; p != nil && prof == nil {
+		if err := p.Feasible(h.G, out.Solution); err != nil {
+			return fmt.Errorf("solution infeasible: %w", err)
+		}
+	}
+	fmt.Println(resultLine(spec, out, int64(n), prof != nil, time.Since(start)))
 	return nil
 }
 
-// runScaleSharded is the sharded scale mode: cole-vishkin and matching
-// on model.ShardedEngine, with the host generated shard-locally from an
+// runScaleSharded is the sharded scale mode: sharded workloads on
+// model.ShardedEngine, with the host generated shard-locally from an
 // implicit source when the family has one (so descriptors past the flat
 // int32 capacity — dcycle:100000000 and beyond — run in bounded resident
 // memory) and adapted from the materialised registry host otherwise.
@@ -455,8 +359,12 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 // sharded faulty run degrades byte-identically to the flat engine; they
 // need a materialisable host, since the profile constructor does.
 func runScaleSharded(algo, hostDesc string, n int, seed int64, shards int, prof *model.Profile) error {
-	if algo != "cole-vishkin" && algo != "matching" {
-		return usagef("-shards supports cole-vishkin and matching only (got %q)", algo)
+	w, err := lookupWorkload(algo)
+	if err != nil {
+		return err
+	}
+	if !w.Sharded {
+		return usagef("-shards does not support %s (sharded workloads: %s)", algo, algorithms.ShardedWorkloads())
 	}
 	if hostDesc == "" {
 		fam := "cycle"
@@ -475,72 +383,68 @@ func runScaleSharded(algo, hostDesc string, n int, seed int64, shards int, prof 
 		}
 		src, hostDesc = model.SourceOf(h), desc
 	}
-	var sched model.Schedule
+	se, err := model.NewShardedEngine(src, shards)
+	if err != nil {
+		return err
+	}
+	spec := algorithms.Spec{Algo: algo}
 	if prof != nil {
 		h, err := model.MaterializeSource(src)
 		if err != nil {
 			return fmt.Errorf("-faults with -shards needs a materialisable host (fault schedules hash global coordinates from a flat host): %w", err)
 		}
-		sched = prof.New(h, seed)
-		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d) under faults %s\n", algo, hostDesc, src.N(), shards, prof.Desc)
+		spec.Sched = prof.New(h, seed)
+		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d) under faults %s\n", algo, hostDesc, src.N(), se.Shards(), prof.Desc)
 	} else {
-		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)\n", algo, hostDesc, src.N(), shards)
+		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)\n", algo, hostDesc, src.N(), se.Shards())
 	}
-	se, err := model.NewShardedEngine(src, shards)
+	start := time.Now()
+	out, err := algorithms.RunSharded(context.Background(), se, seed, spec)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	nTotal := src.N()
-	switch algo {
-	case "cole-vishkin":
-		idf := model.SeededIDs(nTotal, seed)
-		maxID := int(nTotal - 1)
-		var res *algorithms.ShardedCVResult
-		if sched != nil {
-			res, err = algorithms.ColeVishkinMISShardedFaulty(se, idf, maxID, sched)
-		} else {
-			res, err = algorithms.ColeVishkinMISSharded(se, idf, maxID)
-		}
-		if err != nil {
-			return err
-		}
-		if sched != nil {
-			rep := res.Report
-			fmt.Printf("rounds: %d   |MIS| = %d   crashed: %d   dropped: %d   violations: %d   uncovered: %d   wall: %s\n",
-				res.Rounds, res.MISSize, rep.NumCrashed, rep.Dropped,
-				res.Violations, res.Uncovered, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("rounds: %d   |MIS| = %d   |MIS|/n = %.4f   feasible: yes   wall: %s\n",
-				res.Rounds, res.MISSize, float64(res.MISSize)/float64(nTotal), time.Since(start).Round(time.Millisecond))
-		}
-	case "matching":
-		rng := rand.New(rand.NewSource(seed))
-		var res *algorithms.ShardedMatchingResult
-		if sched != nil {
-			res, err = algorithms.RandomizedMatchingShardedFaulty(se, rng, sched)
-		} else {
-			res, err = algorithms.RandomizedMatchingSharded(se, rng)
-		}
-		if err != nil {
-			return err
-		}
-		if sched != nil {
-			rep := res.Report
-			fmt.Printf("rounds: 2   |M| = %d   crashed: %d   dropped: %d   conflicts: %d   wall: %s\n",
-				res.Matched, rep.NumCrashed, rep.Dropped, res.Conflicts, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("rounds: 2   |M| = %d   |M|/n = %.4f   conflicts: %d   wall: %s\n",
-				res.Matched, float64(res.Matched)/float64(nTotal), res.Conflicts, time.Since(start).Round(time.Millisecond))
-		}
-	}
-	var xout, xvol int64
-	for _, st := range se.Stats() {
-		xout += st.ExchangeOut
-		xvol += st.Exchanged
-	}
-	fmt.Printf("shards: %d   cross-shard arcs: %d   exchanged words: %d\n", shards, xout, xvol)
+	fmt.Println(resultLine(spec, out, src.N(), prof != nil, time.Since(start)))
+	fmt.Printf("shards: %d   cross-shard arcs: %d   exchanged words: %d\n", out.Shards, out.CrossArcs, out.ExchangedWords)
 	return nil
+}
+
+// resultLine renders a scale-mode result line: the workload's size,
+// then the injected-fault counts and survivor-safety checks under
+// -faults, or the clean quality fields otherwise.
+func resultLine(spec algorithms.Spec, out *algorithms.Outcome, n int64, faulty bool, wall time.Duration) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "rounds: %d   ", out.Rounds)
+	sizeName := "|MIS|"
+	switch spec.Algo {
+	case "matching":
+		sizeName = "|M|"
+		fmt.Fprintf(&b, "|M| = %d", out.Size)
+	case "gather":
+		fmt.Fprintf(&b, "radius-%d view types: %d", spec.Radius(), out.Size)
+	case "flood":
+		fmt.Fprintf(&b, "leader: %d   converged@: %d", out.Leader, out.Size)
+	default:
+		fmt.Fprintf(&b, "|MIS| = %d", out.Size)
+	}
+	switch {
+	case faulty:
+		fmt.Fprintf(&b, "   crashed: %d   dropped: %d", out.Report.NumCrashed, out.Report.Dropped)
+		switch spec.Algo {
+		case "cole-vishkin":
+			fmt.Fprintf(&b, "   violations: %d   uncovered: %d", out.Violations, out.Uncovered)
+		case "matching":
+			fmt.Fprintf(&b, "   conflicts: %d", out.Conflicts)
+		}
+	case scaleProblems[spec.Algo] != nil:
+		fmt.Fprintf(&b, "   %s/n = %.4f", sizeName, float64(out.Size)/float64(n))
+		if out.Shards > 0 && spec.Algo == "matching" {
+			fmt.Fprintf(&b, "   conflicts: %d", out.Conflicts)
+		} else {
+			b.WriteString("   feasible: yes")
+		}
+	}
+	fmt.Fprintf(&b, "   wall: %s", wall.Round(time.Millisecond))
+	return b.String()
 }
 
 // algNames lists the classic-mode algorithms, for unknown -alg errors.

@@ -72,6 +72,19 @@ func TestUsageErrorsExitTwoWithListing(t *testing.T) {
 	}
 }
 
+// A shard count past model.MaxShards fails with an error (exit 1)
+// before the sharded engine allocates anything.
+func TestOversizedShardsRejected(t *testing.T) {
+	out, err := exec.Command(binPath, "-algo", "cole-vishkin", "-n", "100000", "-shards", "100000").CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("want exit 1, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "shard count 100000 out of range") {
+		t.Fatalf("unexpected error:\n%s", out)
+	}
+}
+
 // A valid invocation still exits 0.
 func TestValidInvocationExitsZero(t *testing.T) {
 	out, err := exec.Command(binPath, "-alg", "eds-one-out", "-graph", "cycle", "-n", "12").CombinedOutput()
@@ -121,9 +134,9 @@ func TestScaleResultLinesPinned(t *testing.T) {
 				"rounds: 12   |MIS| = 442   crashed: 40   dropped: 0   violations: 0   uncovered: 0   wall:\n" +
 				"shards: 2   cross-shard arcs: 4   exchanged words: 44"},
 		{"-algo cole-vishkin -host dcycle:16 -shards 32",
-			"sharded scale mode: cole-vishkin on dcycle:16 (n=16, P=32)\n" +
+			"sharded scale mode: cole-vishkin on dcycle:16 (n=16, P=16)\n" +
 				"rounds: 10   |MIS| = 6   |MIS|/n = 0.3750   feasible: yes   wall:\n" +
-				"shards: 32   cross-shard arcs: 32   exchanged words: 288"},
+				"shards: 16   cross-shard arcs: 32   exchanged words: 288"},
 		{"-algo matching -host torus:30x30 -seed 3",
 			"scale mode: matching on torus:30x30 (n=900, m=1800)\n" +
 				"rounds: 2   |M| = 108   |M|/n = 0.1200   feasible: yes   wall:"},
@@ -258,6 +271,9 @@ func TestFrontEndsAgree(t *testing.T) {
 		{"matching", "torus:30x30", 3, "crash:f=40,by=2", frontEndAnswer{Rounds: 2, Size: 99, Crashed: 40}},
 		{"gather", "torus:20x20", 4, "", frontEndAnswer{Rounds: 3, Size: 49}},
 		{"gather", "torus:20x20", 4, "lossy:p=0.1", frontEndAnswer{Rounds: 3, Size: 263, Dropped: 330}},
+		{"flood", "cycle:512", 3, "", frontEndAnswer{Rounds: 513, Size: 512}},
+		{"flood", "cycle:512", 3, "lossy:p=0.05", frontEndAnswer{Rounds: 513, Size: 512, Dropped: 26237}},
+		{"flood", "cycle:512", 3, "crash:f=40,by=8", frontEndAnswer{Rounds: 513, Size: 20, Crashed: 40}},
 	} {
 		name := tc.algo + "/" + tc.host + "/" + tc.faults
 		args := []string{"-algo", tc.algo, "-host", tc.host, "-seed", fmt.Sprint(tc.seed)}

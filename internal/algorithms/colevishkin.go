@@ -8,15 +8,26 @@ import (
 )
 
 // ColeVishkinResult reports a Cole–Vishkin MIS computation on a
-// directed cycle.
+// directed cycle, clean or under a fault schedule.
 type ColeVishkinResult struct {
-	// MIS is the computed maximal independent set.
+	// MIS is the computed vertex set (crashed nodes are never members).
 	MIS *model.Solution
-	// Rounds is the total number of communication rounds used: the
+	// Rounds is the number of rounds executed: on a clean run the
 	// O(log* n) colour-reduction phase plus O(1) cleanup.
 	Rounds int
-	// Colors is the final 3-colouring (values 0..2).
+	// Colors is every node's final colour: values 0..2 on a clean run,
+	// whatever the desynchronised reduction reached under faults.
 	Colors []int
+	// Report summarises the injected faults ("clean" on a nil
+	// schedule).
+	Report *model.FaultReport
+	// Violations counts surviving adjacent pairs that are both in the
+	// set — independence failures caused by lost coordination.
+	Violations int
+	// Uncovered counts surviving non-members with no surviving member
+	// neighbour — maximality failures (legitimate degradation near
+	// crashed regions). Both counts are checked to be 0 on a clean run.
+	Uncovered int
 }
 
 // The Cole–Vishkin pipeline runs on the typed word lane: the whole
@@ -53,18 +64,29 @@ const (
 // RoundAlgo formulation survives as the reference the differential
 // tests pin this path against, byte for byte.
 func ColeVishkinMIS(h *model.Host, ids []int) (*ColeVishkinResult, error) {
-	return coleVishkinOn(model.NewWordEngine(h), h, ids)
+	return coleVishkin(model.NewWordEngine(h), h, ids, nil)
 }
 
-// coleVishkinOn is ColeVishkinMIS on a caller-provided engine, so the
-// service layer can arm the engine with a cancellation context (see
-// ColeVishkinMISCtx) and repeated trials can reuse one message plane.
-func coleVishkinOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
+// ColeVishkinMISOn is the clean ColeVishkinMIS on a caller-provided
+// engine.
+func ColeVishkinMISOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
+	return coleVishkin(e, h, ids, nil)
+}
+
+// coleVishkin is the flat-plane Cole–Vishkin core: the pipeline on a
+// caller-armed engine under sched (nil: the clean run). A clean run
+// must end in a proper 3-colouring whose colour-0..2 sweep is an MIS,
+// and anything else is an error. Under a schedule those guarantees
+// cannot be promised — dropped colours desynchronise the reduction
+// and crashed nodes leave their neighbourhoods uncoordinated — so the
+// run returns the degraded output with its survivor-safety counts
+// (CVSurvivorSafety) instead of failing.
+func coleVishkin(e *model.WordEngine, h *model.Host, ids []int, sched model.Schedule) (*ColeVishkinResult, error) {
 	steps, last, err := cvPlan(h, ids)
 	if err != nil {
 		return nil, err
 	}
-	col, rounds, err := e.RunStates(ids, coleVishkinWordAlgo(steps, last), last+2)
+	col, rounds, rep, err := e.RunStates(ids, coleVishkinWordAlgo(steps, last), model.Budget(last+2, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: Cole–Vishkin: %w", err)
 	}
@@ -72,23 +94,63 @@ func coleVishkinOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinR
 		MIS:    model.NewSolution(model.VertexKind, h.G.N()),
 		Rounds: rounds,
 		Colors: make([]int, h.G.N()),
+		Report: rep,
 	}
 	for v, w := range col {
 		c := int(w & cvColorMask)
-		res.MIS.Vertices[v] = w&cvMISBit != 0
 		res.Colors[v] = c
-		if c < 0 || c > 2 {
+		if sched == nil && c > 2 {
 			return nil, fmt.Errorf("algorithms: node %d ended with colour %d", v, c)
 		}
+		res.MIS.Vertices[v] = w&cvMISBit != 0 && !rep.CrashedNode(v)
+	}
+	res.Violations, res.Uncovered = CVSurvivorSafety(h, rep, res.MIS)
+	if sched == nil && (res.Violations != 0 || res.Uncovered != 0) {
+		return nil, fmt.Errorf("algorithms: Cole–Vishkin: clean run not an MIS (%d violations, %d uncovered)",
+			res.Violations, res.Uncovered)
 	}
 	return res, nil
+}
+
+// CVSurvivorSafety checks an independent-set solution among the
+// surviving (non-crashed) nodes: violations counts surviving
+// adjacent member pairs, uncovered counts surviving non-members
+// whose surviving neighbours are all non-members. Both are 0 exactly
+// when the solution restricted to survivors is an MIS of the
+// survivor-induced subgraph.
+func CVSurvivorSafety(h *model.Host, rep *model.FaultReport, mis *model.Solution) (violations, uncovered int) {
+	g := h.G
+	for v := 0; v < g.N(); v++ {
+		if rep.CrashedNode(v) {
+			continue
+		}
+		if mis.Vertices[v] {
+			for _, u := range g.Neighbors(v) {
+				if int(u) > v && !rep.CrashedNode(int(u)) && mis.Vertices[u] {
+					violations++
+				}
+			}
+			continue
+		}
+		covered := false
+		for _, u := range g.Neighbors(v) {
+			if !rep.CrashedNode(int(u)) && mis.Vertices[u] {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			uncovered++
+		}
+	}
+	return violations, uncovered
 }
 
 // cvPlan validates a Cole–Vishkin instance and returns the reduction
 // horizon (steps) and the halting round (last).
 func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 	if !h.D.IsRegularDigraph(1) {
-		return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle")
+		return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
 	}
 	if len(ids) != h.G.N() {
 		return 0, 0, fmt.Errorf("algorithms: %d ids for %d nodes", len(ids), h.G.N())
@@ -109,8 +171,8 @@ func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 	return steps, steps + 6, nil
 }
 
-// coleVishkinWordAlgo is the word-lane Cole–Vishkin pipeline, shared
-// by the clean run and the fault-schedule run. Round schedule (every
+// coleVishkinWordAlgo is the word-lane Cole–Vishkin pipeline, clean
+// or under a fault schedule alike. Round schedule (every
 // live node broadcasts its colour and membership every round):
 //
 //	rounds 1..steps          — CV recolour on the predecessor's colour

@@ -259,7 +259,7 @@ func TestEDSOneOutOperationalDifferential(t *testing.T) {
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			eng, err := model.SimulatePORounds(h, alg, model.EdgeKind)
+			eng, _, err := model.SimulatePORounds(h, alg, model.EdgeKind, nil)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: SimulatePORounds: %v", name, p, err)

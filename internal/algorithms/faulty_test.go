@@ -10,17 +10,18 @@ import (
 	"repro/internal/problems"
 )
 
-// TestRandomizedMatchingFaultyClean: a nil schedule reproduces the
-// clean matching for the same rng stream, with an all-zero report.
+// TestRandomizedMatchingFaultyClean: the core's nil schedule reproduces
+// RandomizedMatching for the same rng stream, with the all-zero
+// "clean" report.
 func TestRandomizedMatchingFaultyClean(t *testing.T) {
 	h := model.HostFromGraph(graph.Torus(8, 8))
 	want := RandomizedMatching(h, rand.New(rand.NewSource(4)))
-	res, err := RandomizedMatchingFaulty(h, rand.New(rand.NewSource(4)), nil)
+	res, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !solutionsEqual(want, res.Matching) {
-		t.Error("clean faulty matching differs from RandomizedMatching")
+		t.Error("clean core matching differs from RandomizedMatching")
 	}
 	if res.Report.Profile != "clean" || res.Report.Dropped != 0 || res.Conflicts != 0 {
 		t.Errorf("clean report: %+v conflicts=%d", res.Report, res.Conflicts)
@@ -35,7 +36,7 @@ func TestRandomizedMatchingFaultyDegrades(t *testing.T) {
 	clean := RandomizedMatching(h, rand.New(rand.NewSource(4)))
 	for _, profile := range []string{"lossy:p=0.3", "dup+reorder", "crash:f=10,by=1", "churn:p=0.3,window=1", "adversarial:p=0.2,f=5,by=1"} {
 		sched := model.MustParseProfile(profile).New(h, 6)
-		res, err := RandomizedMatchingFaulty(h, rand.New(rand.NewSource(4)), sched)
+		res, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(4)), sched)
 		if err != nil {
 			t.Fatalf("%v — reproducer (seed 6, profile %q)", err, profile)
 		}
@@ -52,7 +53,7 @@ func TestRandomizedMatchingFaultyDegrades(t *testing.T) {
 	}
 	// Heavy loss must actually cost edges.
 	sched := model.MustParseProfile("lossy:p=0.5").New(h, 6)
-	res, err := RandomizedMatchingFaulty(h, rand.New(rand.NewSource(4)), sched)
+	res, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(4)), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func TestRandomizedMatchingFaultyDegrades(t *testing.T) {
 	}
 }
 
-// TestColeVishkinFaultyCleanAndCrash: a nil schedule reproduces the
-// clean MIS with zero safety counts; a crash schedule keeps the
+// TestColeVishkinFaultyCleanAndCrash: the core's nil schedule
+// reproduces ColeVishkinMIS with zero safety counts; a crash schedule keeps the
 // survivor-induced output safe when the crashes happen after the
 // colour reduction cannot be disturbed (crash-stop loses messages,
 // but the survivors' sweep only ever abstains, never collides, on a
@@ -75,7 +76,7 @@ func TestColeVishkinFaultyCleanAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ColeVishkinMISFaulty(h, ids, nil)
+	res, err := coleVishkin(model.NewWordEngine(h), h, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestColeVishkinFaultyCleanAndCrash(t *testing.T) {
 		t.Errorf("clean faulty CV rounds %d vs %d", res.Rounds, clean.Rounds)
 	}
 
-	crash, err := ColeVishkinMISFaulty(h, ids, model.MustParseProfile("crash:f=6,by=4").New(h, 9))
+	crash, err := coleVishkin(model.NewWordEngine(h), h, ids, model.MustParseProfile("crash:f=6,by=4").New(h, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestColeVishkinFaultyCleanAndCrash(t *testing.T) {
 	}
 	// Heavy loss on the colour exchange must produce measurable safety
 	// degradation (that is the E17 curve).
-	lossy, err := ColeVishkinMISFaulty(h, ids, model.MustParseProfile("lossy:p=0.3").New(h, 9))
+	lossy, err := coleVishkin(model.NewWordEngine(h), h, ids, model.MustParseProfile("lossy:p=0.3").New(h, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func (stallSchedule) State(round int, v int32) model.NodeState {
 
 func (stallSchedule) Reorder(int, int32) uint64 { return 0 }
 
-// TestColeVishkinFaultyRejects: the faulty twin shares the clean
+// TestColeVishkinFaultyRejects: a run under a schedule shares the clean
 // entry's instance validation — every malformed instance is rejected
 // before any rounds run, with the same error text.
 func TestColeVishkinFaultyRejects(t *testing.T) {
@@ -147,7 +148,7 @@ func TestColeVishkinFaultyRejects(t *testing.T) {
 		{"negative-id", dcycleHost(t, 8), []int{0, 1, 2, 3, 4, 5, 6, -3}, "negative id -3"},
 		{"id-overflow", dcycleHost(t, 8), []int{0, 1, 2, 3, 4, 5, 6, 1 << 62}, "exceeds the 62-bit colour lane"},
 	} {
-		if _, err := ColeVishkinMISFaulty(c.h, c.ids, sched); err == nil {
+		if _, err := coleVishkin(model.NewWordEngine(c.h), c.h, c.ids, sched); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
@@ -160,27 +161,28 @@ func TestColeVishkinFaultyRejects(t *testing.T) {
 }
 
 // TestFaultyTwinsNonHalt: a schedule that stalls one node forever
-// exhausts the fault slack; both faulty twins must surface the
-// engine's non-halt error, wrapped with their own prefix and carrying
-// the schedule's profile descriptor for reproduction.
+// exhausts the fault slack; both cores must surface the engine's
+// non-halt error, wrapped with their own prefix and carrying the
+// schedule's profile descriptor for reproduction.
 func TestFaultyTwinsNonHalt(t *testing.T) {
 	n := 8
 	h := dcycleHost(t, n)
 	ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
-	_, err := ColeVishkinMISFaulty(h, ids, stallSchedule{})
+	_, err := coleVishkin(model.NewWordEngine(h), h, ids, stallSchedule{})
 	if err == nil {
 		t.Fatal("stalled Cole–Vishkin halted")
 	}
-	for _, want := range []string{"algorithms: faulty Cole–Vishkin:", "did not halt", "[stall:node=0]"} {
+	for _, want := range []string{"algorithms: Cole–Vishkin:", "did not halt", "[stall:node=0]"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("CV error %q does not mention %q", err, want)
 		}
 	}
-	_, err = RandomizedMatchingFaulty(model.HostFromGraph(graph.Torus(4, 4)), rand.New(rand.NewSource(2)), stallSchedule{})
+	th := model.HostFromGraph(graph.Torus(4, 4))
+	_, err = randomizedMatching(model.NewWordEngine(th), th, rand.New(rand.NewSource(2)), stallSchedule{})
 	if err == nil {
 		t.Fatal("stalled matching halted")
 	}
-	for _, want := range []string{"algorithms: faulty randomized matching:", "did not halt", "[stall:node=0]"} {
+	for _, want := range []string{"algorithms: randomized matching:", "did not halt", "[stall:node=0]"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("matching error %q does not mention %q", err, want)
 		}

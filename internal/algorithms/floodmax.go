@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/model"
@@ -18,10 +17,6 @@ import (
 // applies), and its result is a deterministic function of (host, ids,
 // rounds, profile, seed).
 
-// floodFaultSlack mirrors the gather workloads: headroom beyond the
-// clean horizon for nodes transiently down at their halting round.
-const floodFaultSlack = 256
-
 // FloodMaxResult reports a FloodMax run.
 type FloodMaxResult struct {
 	// Rounds is the number of communication rounds executed.
@@ -31,7 +26,8 @@ type FloodMaxResult struct {
 	Leader int
 	// Converged counts surviving nodes that learned the leader.
 	Converged int
-	// Report is the fault report; nil on clean runs.
+	// Report summarises the injected faults ("clean" on a nil
+	// schedule).
 	Report *model.FaultReport
 }
 
@@ -77,61 +73,29 @@ func floodPlan(h *model.Host, ids []int, rounds int) (leader int, err error) {
 	return leader, nil
 }
 
-// FloodMax runs the flood on a fresh engine. See FloodMaxOn.
-func FloodMax(h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
-	return FloodMaxOn(model.NewWordEngine(h), h, ids, rounds)
-}
-
-// FloodMaxCtx is FloodMax under cooperative cancellation.
-func FloodMaxCtx(ctx context.Context, h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
-	return FloodMaxOn(wordEngineCtx(ctx, h), h, ids, rounds)
-}
-
-// FloodMaxOn runs the flood on a caller-provided engine, so the job
-// runner can arm it with a cancellation context, a Checkpointer and a
+// FloodMaxOn runs the flood clean on a caller-provided engine, so the
+// caller can arm it with a cancellation context, a Checkpointer and a
 // resume snapshot before handing it over.
 func FloodMaxOn(e *model.WordEngine, h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
+	return floodMax(e, h, ids, rounds, nil)
+}
+
+// floodMax is the flood core on a caller-armed engine under sched
+// (nil: the clean run). Crashed nodes are excluded from the
+// convergence count, and a faulty run gets the fault slack so
+// transiently down nodes can still halt.
+func floodMax(e *model.WordEngine, h *model.Host, ids []int, rounds int, sched model.Schedule) (*FloodMaxResult, error) {
 	leader, err := floodPlan(h, ids, rounds)
 	if err != nil {
 		return nil, err
 	}
-	col, executed, err := e.RunStates(ids, floodMaxWordAlgo(rounds), rounds+2)
-	if err != nil {
-		return nil, fmt.Errorf("algorithms: FloodMax: %w", err)
-	}
-	res := &FloodMaxResult{Rounds: executed, Leader: leader}
-	for _, w := range col {
-		if int(w) == leader {
-			res.Converged++
-		}
-	}
-	return res, nil
-}
-
-// FloodMaxFaultyCtx is FloodMaxFaultyOn on a fresh context-armed
-// engine.
-func FloodMaxFaultyCtx(ctx context.Context, h *model.Host, ids []int, rounds int, sched model.Schedule) (*FloodMaxResult, error) {
-	return FloodMaxFaultyOn(wordEngineCtx(ctx, h), h, ids, rounds, sched)
-}
-
-// FloodMaxFaultyOn is FloodMaxOn under a fault schedule: crashed
-// nodes are excluded from the convergence count, and the horizon gets
-// the standard slack so transiently down nodes can still halt.
-func FloodMaxFaultyOn(e *model.WordEngine, h *model.Host, ids []int, rounds int, sched model.Schedule) (*FloodMaxResult, error) {
-	leader, err := floodPlan(h, ids, rounds)
-	if err != nil {
-		return nil, err
-	}
-	col, executed, rep, err := e.RunStatesFaulty(ids, floodMaxWordAlgo(rounds), rounds+2+floodFaultSlack, sched)
+	col, executed, rep, err := e.RunStates(ids, floodMaxWordAlgo(rounds), model.Budget(rounds+2, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: FloodMax: %w", err)
 	}
 	res := &FloodMaxResult{Rounds: executed, Leader: leader, Report: rep}
 	for v, w := range col {
-		if rep.CrashedNode(v) {
-			continue
-		}
-		if int(w) == leader {
+		if int(w) == leader && !rep.CrashedNode(v) {
 			res.Converged++
 		}
 	}

@@ -167,11 +167,11 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 		// id assignment.
 		const profile = "lossy:p=0.1"
 		sched := model.MustParseProfile(profile).New(h, seed)
-		f1, err := ColeVishkinMISFaulty(h, ids1, sched)
+		f1, err := coleVishkin(model.NewWordEngine(h), h, ids1, sched)
 		if err != nil {
 			t.Fatalf("faulty ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
-		f2, err := ColeVishkinMISFaulty(h, ids2, sched)
+		f2, err := coleVishkin(model.NewWordEngine(h), h, ids2, sched)
 		if err != nil {
 			t.Fatalf("faulty ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
@@ -179,7 +179,7 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 			t.Errorf("lossy rounds %d/%d differ from clean %d — reproducer (seed %d, profile %q)",
 				f1.Rounds, f2.Rounds, r1.Rounds, seed, profile)
 		}
-		again, err := ColeVishkinMISFaulty(h, ids1, model.MustParseProfile(profile).New(h, seed))
+		again, err := coleVishkin(model.NewWordEngine(h), h, ids1, model.MustParseProfile(profile).New(h, seed))
 		if err != nil {
 			t.Fatalf("faulty rerun: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
@@ -245,11 +245,11 @@ func TestMetamorphicFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			o1, r1, rep1, err := model.RunRoundsTypedFaulty(h, ids1, floodRankTypedAlgo(3), 300, sched)
+			o1, r1, rep1, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			o2, r2, rep2, err := model.RunRoundsTypedFaulty(h, ids2, floodRankTypedAlgo(3), 300, sched)
+			o2, r2, rep2, err := model.RunRoundsTyped(h, ids2, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -325,7 +325,7 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v — reproducer (seed %d)", err, seed)
 			}
-			clean, cleanRounds, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300)
+			clean, cleanRounds, _, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300, nil)
 			if err != nil {
 				t.Fatalf("clean: %v — reproducer (seed %d)", err, seed)
 			}
@@ -335,11 +335,11 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 				}
 			}
 			sched := model.MustParseProfile(profile).New(h, seed)
-			t1, tr1, trep1, err := model.RunRoundsTypedFaulty(h, ids1, floodRankTypedAlgo(3), 300, sched)
+			t1, tr1, trep1, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			t2, tr2, trep2, err := model.RunRoundsTypedFaulty(h, ids2, floodRankTypedAlgo(3), 300, sched)
+			t2, tr2, trep2, err := model.RunRoundsTyped(h, ids2, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -367,11 +367,11 @@ func TestMetamorphicTypedMatchingRelabel(t *testing.T) {
 			t.Errorf("matching not a pure function of the rng stream — reproducer seed %d", seed)
 		}
 		sched := model.MustParseProfile(profile).New(h, seed)
-		fa, err := RandomizedMatchingFaulty(h, rand.New(rand.NewSource(seed+100)), sched)
+		fa, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(seed+100)), sched)
 		if err != nil {
 			t.Fatalf("faulty: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
-		fb, err := RandomizedMatchingFaulty(h, rand.New(rand.NewSource(seed+100)), model.MustParseProfile(profile).New(h, seed))
+		fb, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(seed+100)), model.MustParseProfile(profile).New(h, seed))
 		if err != nil {
 			t.Fatalf("faulty rerun: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}

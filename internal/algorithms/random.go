@@ -33,8 +33,39 @@ import (
 // ν(G) <= n/2 — expected ratio at most d, a constant for bounded
 // degree, which no deterministic local algorithm can achieve.
 func RandomizedMatching(h *model.Host, rng *rand.Rand) *model.Solution {
-	return randomizedMatchingOn(model.NewWordEngine(h), h, rng)
+	return mustMatching(model.NewWordEngine(h), h, rng)
 }
+
+// RandomizedMatchingOn is the clean RandomizedMatching on a
+// caller-provided engine. It returns an error instead of promising
+// success: an armed context can abort the run mid-protocol.
+func RandomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
+	res, err := randomizedMatching(e, h, rng, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Matching, nil
+}
+
+// MatchingResult reports a randomized-matching run, clean or under a
+// fault schedule.
+type MatchingResult struct {
+	// Matching is the selected edge set, restricted to edges whose
+	// endpoints both survived.
+	Matching *model.Solution
+	// Report summarises the injected faults ("clean" on a nil
+	// schedule).
+	Report *model.FaultReport
+	// Conflicts counts vertices incident to more than one selected
+	// edge. The proposal protocol keeps this 0 under every schedule —
+	// each node only ever selects the one edge it proposed — and the
+	// checker verifies that safety property rather than assuming it.
+	Conflicts int
+}
+
+// matchingRounds is the proposal protocol's length: one round to
+// propose, one to hear the answers.
+const matchingRounds = 2
 
 // proposeState is a node's pre-drawn proposal; the protocol state
 // proper (chosen slot, sent, matched) is packed into the engine's
@@ -142,10 +173,9 @@ func slotOf(letters []view.Letter, l view.Letter) int {
 	return lo
 }
 
-// randomizedMatchingOn is RandomizedMatching on a caller-provided
-// engine, so repeated trials reuse one message plane.
-func randomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) *model.Solution {
-	sol, err := randomizedMatchingErr(e, h, rng)
+// mustMatching is RandomizedMatchingOn for engines that cannot fail.
+func mustMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand) *model.Solution {
+	sol, err := RandomizedMatchingOn(e, h, rng)
 	if err != nil {
 		// Unreachable on an uncancellable engine: every slot was
 		// resolved from a real arc and each node sends at most once.
@@ -154,24 +184,26 @@ func randomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) *m
 	return sol
 }
 
-// randomizedMatchingErr is the error-returning core of the one-round
-// proposal matching: on a context-armed engine a run can legitimately
-// fail mid-protocol (cancellation), which the service layer must see
-// as an error rather than a panic.
-func randomizedMatchingErr(e *model.WordEngine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
+// randomizedMatching is the flat-plane matching core: the sequentially
+// pre-drawn proposals exchanged on a caller-armed engine under sched
+// (nil: the clean run). A dropped direction loses at most that edge,
+// so the output remains a matching — losses shrink it, they never
+// corrupt it — and edges with a crashed endpoint are excluded. The
+// same rng stream proposes identically under every schedule.
+func randomizedMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand, sched model.Schedule) (*MatchingResult, error) {
 	n := h.G.N()
 	proposal, states := drawProposals(h, rng)
-	col, _, err := e.RunStates(nil, proposalWordAlgo(states), 3)
+	col, _, rep, err := e.RunStates(nil, proposalWordAlgo(states), model.Budget(matchingRounds+1, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: randomized matching: %w", err)
 	}
 	sol := model.NewSolution(model.EdgeKind, n)
 	for v := 0; v < n; v++ {
-		if col[v]&mMatched != 0 {
+		if col[v]&mMatched != 0 && !rep.CrashedNode(v) && !rep.CrashedNode(proposal[v]) {
 			sol.Edges[graph.NewEdge(v, proposal[v])] = true
 		}
 	}
-	return sol, nil
+	return &MatchingResult{Matching: sol, Report: rep, Conflicts: MatchingConflicts(n, sol)}, nil
 }
 
 // letterTo returns the letter naming the arc between v and its
@@ -198,7 +230,24 @@ func RandomizedMatchingTrials(h *model.Host, trials int, rng *rand.Rand) float64
 	e := model.NewWordEngine(h)
 	total := 0
 	for i := 0; i < trials; i++ {
-		total += randomizedMatchingOn(e, h, rng).Size()
+		total += mustMatching(e, h, rng).Size()
 	}
 	return float64(total) / float64(trials)
+}
+
+// MatchingConflicts counts vertices incident to two or more selected
+// edges — 0 exactly when the edge set is a matching.
+func MatchingConflicts(n int, sol *model.Solution) int {
+	deg := make([]int, n)
+	for e := range sol.Edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	conflicts := 0
+	for _, d := range deg {
+		if d > 1 {
+			conflicts++
+		}
+	}
+	return conflicts
 }

@@ -31,7 +31,7 @@ type ShardedCVResult struct {
 	MISSize int64
 	// Colors is the final colour histogram over surviving nodes.
 	Colors [3]int64
-	// Report summarises injected faults (nil on clean runs).
+	// Report summarises injected faults ("clean" on a nil schedule).
 	Report *model.FaultReport
 	// Violations and Uncovered are the survivor-safety counts of
 	// CVSurvivorSafetySharded. On a clean run both are checked to be 0
@@ -47,78 +47,65 @@ func CVState(w uint64) (color int, inMIS bool) {
 	return int(w & cvColorMask), w&cvMISBit != 0
 }
 
-// ColeVishkinMISSharded runs Cole–Vishkin MIS on a sharded engine
-// whose source is a consistently oriented cycle. ids assigns the
-// global identifiers (model.SeededIDs needs no materialised table)
+// ColeVishkinMISSharded runs Cole–Vishkin MIS clean on a sharded
+// engine whose source is a consistently oriented cycle. ids assigns
+// the global identifiers (model.SeededIDs needs no materialised table)
 // and maxID bounds the id space — for SeededIDs over n nodes that is
-// n-1. The clean guarantees are enforced: a colour outside {0,1,2} or
-// a survivor-safety failure is an error, exactly as on the flat
-// plane.
+// n-1.
 func ColeVishkinMISSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (*ShardedCVResult, error) {
+	return coleVishkinSharded(se, ids, maxID, nil)
+}
+
+// coleVishkinSharded is the sharded-plane Cole–Vishkin core under
+// sched (nil: the clean run), with the flat core's contract: a clean
+// run must end in colours {0,1,2} forming an MIS, and anything else is
+// an error; under a schedule the run degrades instead of failing and
+// reports the survivor-safety counts.
+func coleVishkinSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int, sched model.Schedule) (*ShardedCVResult, error) {
 	steps, last, err := cvPlanSharded(se, ids, maxID)
 	if err != nil {
 		return nil, err
 	}
-	rounds, err := se.Run(ids, coleVishkinShardedAlgo(steps, last), last+2)
+	rounds, rep, err := se.Run(ids, coleVishkinShardedAlgo(steps, last), model.Budget(last+2, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded Cole–Vishkin: %w", err)
 	}
-	res := &ShardedCVResult{Rounds: rounds}
+	res := &ShardedCVResult{Rounds: rounds, Report: rep}
+	crashed := crashedOf(rep)
 	var bad int64 = -1
 	se.VisitStates(func(v int64, w uint64) {
-		c, member := CVState(w)
-		if c < 0 || c > 2 {
-			if bad < 0 {
-				bad = v
-			}
+		if crashed != nil && crashed(v) {
 			return
 		}
-		res.Colors[c]++
+		c, member := CVState(w)
 		if member {
 			res.MISSize++
 		}
+		if c <= 2 {
+			res.Colors[c]++
+		} else if bad < 0 {
+			bad = v
+		}
 	})
-	if bad >= 0 {
+	if sched == nil && bad >= 0 {
 		c, _ := CVState(se.StateAt(bad))
 		return nil, fmt.Errorf("algorithms: node %d ended with colour %d", bad, c)
 	}
-	res.Violations, res.Uncovered = CVSurvivorSafetySharded(se, nil)
-	if res.Violations != 0 || res.Uncovered != 0 {
+	res.Violations, res.Uncovered = CVSurvivorSafetySharded(se, crashed)
+	if sched == nil && (res.Violations != 0 || res.Uncovered != 0) {
 		return nil, fmt.Errorf("algorithms: sharded Cole–Vishkin: clean run not an MIS (%d violations, %d uncovered)",
 			res.Violations, res.Uncovered)
 	}
 	return res, nil
 }
 
-// ColeVishkinMISShardedFaulty is ColeVishkinMISSharded under a fault
-// schedule: the run degrades instead of failing, and the result
-// reports the survivor-safety counts (see ColeVishkinMISFaulty).
-func ColeVishkinMISShardedFaulty(se *model.ShardedEngine, ids model.IDFunc, maxID int, sched model.Schedule) (*ShardedCVResult, error) {
-	steps, last, err := cvPlanSharded(se, ids, maxID)
-	if err != nil {
-		return nil, err
+// crashedOf is the streaming crash predicate of a sharded run's
+// report: nil when no node crashed, so the survivor checks skip it.
+func crashedOf(rep *model.FaultReport) func(int64) bool {
+	if rep.NumCrashed == 0 {
+		return nil
 	}
-	rounds, rep, err := se.RunFaulty(ids, coleVishkinShardedAlgo(steps, last), last+2+faultSlack, sched)
-	if err != nil {
-		return nil, fmt.Errorf("algorithms: sharded faulty Cole–Vishkin: %w", err)
-	}
-	res := &ShardedCVResult{Rounds: rounds, Report: rep}
-	se.VisitStates(func(v int64, w uint64) {
-		if rep.CrashedNode(int(v)) {
-			return
-		}
-		c, member := CVState(w)
-		if c >= 0 && c <= 2 {
-			res.Colors[c]++
-		}
-		if member {
-			res.MISSize++
-		}
-	})
-	res.Violations, res.Uncovered = CVSurvivorSafetySharded(se, func(v int64) bool {
-		return rep.CrashedNode(int(v))
-	})
-	return res, nil
+	return func(v int64) bool { return rep.CrashedNode(int(v)) }
 }
 
 // cvPlanSharded validates a sharded Cole–Vishkin instance: the source
@@ -137,7 +124,7 @@ func cvPlanSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (steps,
 	src := se.Source()
 	for v, n := int64(0), src.N(); v < n; v++ {
 		if out, in := src.Degree(v); out != 1 || in != 1 {
-			return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle")
+			return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
 		}
 	}
 	steps = cvSteps(maxID)
@@ -203,39 +190,32 @@ type ShardedMatchingResult struct {
 	// Conflicts counts surviving vertices incident to more than one
 	// selected edge — verified 0 under every schedule, not assumed.
 	Conflicts int64
-	// Report summarises injected faults (nil on clean runs).
+	// Report summarises injected faults ("clean" on a nil schedule).
 	Report *model.FaultReport
 }
 
 // RandomizedMatchingSharded runs the one-round mutual-proposal
-// matching on a sharded engine. Proposals are drawn from rng inside
-// the engine's sequential global-order Init sweep — the same stream,
-// in the same order, as the flat drawProposals — and each node picks
-// uniformly among its neighbours in ascending-id order, so for the
-// same seed the selected edge set equals the flat run's. The host
+// matching clean on a sharded engine. Proposals are drawn from rng
+// inside the engine's sequential global-order Init sweep — the same
+// stream, in the same order, as the flat drawProposals — and each node
+// picks uniformly among its neighbours in ascending-id order, so for
+// the same seed the selected edge set equals the flat run's. The host
 // must be simple (at most one arc between any node pair).
 func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*ShardedMatchingResult, error) {
-	if _, err := se.Run(nil, proposalShardedAlgo(se.Source(), rng), 3); err != nil {
-		return nil, fmt.Errorf("algorithms: sharded randomized matching: %w", err)
-	}
-	res := &ShardedMatchingResult{}
-	res.Proposals, res.Matched, res.Conflicts = shardedMatchingTally(se, nil, nil)
-	return res, nil
+	return randomizedMatchingSharded(se, rng, nil)
 }
 
-// RandomizedMatchingShardedFaulty is RandomizedMatchingSharded under
-// a fault schedule: losses shrink the matching, never corrupt it, and
-// edges with a crashed endpoint are excluded (see
-// RandomizedMatchingFaulty).
-func RandomizedMatchingShardedFaulty(se *model.ShardedEngine, rng *rand.Rand, sched model.Schedule) (*ShardedMatchingResult, error) {
-	_, rep, err := se.RunFaulty(nil, proposalShardedAlgo(se.Source(), rng), 3+faultSlack, sched)
+// randomizedMatchingSharded is the sharded-plane matching core under
+// sched (nil: the clean run): losses shrink the matching, never
+// corrupt it, and edges with a crashed endpoint are excluded, as on
+// the flat plane.
+func randomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand, sched model.Schedule) (*ShardedMatchingResult, error) {
+	_, rep, err := se.Run(nil, proposalShardedAlgo(se.Source(), rng), model.Budget(matchingRounds+1, sched), sched)
 	if err != nil {
-		return nil, fmt.Errorf("algorithms: sharded faulty randomized matching: %w", err)
+		return nil, fmt.Errorf("algorithms: sharded randomized matching: %w", err)
 	}
 	res := &ShardedMatchingResult{Report: rep}
-	res.Proposals, res.Matched, res.Conflicts = shardedMatchingTally(se, func(v int64) bool {
-		return rep.CrashedNode(int(v))
-	}, nil)
+	res.Proposals, res.Matched, res.Conflicts = shardedMatchingTally(se, crashedOf(rep), nil)
 	return res, nil
 }
 

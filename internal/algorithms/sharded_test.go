@@ -83,7 +83,7 @@ func TestShardedCVFaultyMatchesFlat(t *testing.T) {
 	}
 	for _, prof := range []string{"lossy:p=0.2", "crash:f=5,by=4", "crash:f=4,by=3,recover=6", "dup+reorder:p=0.3"} {
 		pr := model.MustParseProfile(prof)
-		flat, err := ColeVishkinMISFaulty(h, ids, pr.New(h, 77))
+		flat, err := coleVishkin(model.NewWordEngine(h), h, ids, pr.New(h, 77))
 		if err != nil {
 			t.Fatalf("%s flat: %v", prof, err)
 		}
@@ -92,7 +92,7 @@ func TestShardedCVFaultyMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ColeVishkinMISShardedFaulty(se, idf, n-1, pr.New(h, 77))
+			res, err := coleVishkinSharded(se, idf, n-1, pr.New(h, 77))
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", prof, p, err)
 			}
@@ -173,7 +173,7 @@ func TestShardedMatchingFaultyMatchesFlat(t *testing.T) {
 		h := mustEngineHost(t, desc)
 		for _, prof := range []string{"lossy:p=0.4", "crash:f=4,by=2", "dup+reorder:p=0.3"} {
 			pr := model.MustParseProfile(prof)
-			flat, err := RandomizedMatchingFaulty(h, rand.New(rand.NewSource(7)), pr.New(h, 13))
+			flat, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(7)), pr.New(h, 13))
 			if err != nil {
 				t.Fatalf("%s/%s flat: %v", desc, prof, err)
 			}
@@ -182,7 +182,7 @@ func TestShardedMatchingFaultyMatchesFlat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RandomizedMatchingShardedFaulty(se, rand.New(rand.NewSource(7)), pr.New(h, 13))
+				res, err := randomizedMatchingSharded(se, rand.New(rand.NewSource(7)), pr.New(h, 13))
 				if err != nil {
 					t.Fatalf("%s/%s P=%d: %v", desc, prof, p, err)
 				}

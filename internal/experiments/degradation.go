@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/algorithms"
@@ -56,22 +57,23 @@ func degradation(cvN int, cvProfiles []string, matchHosts, matchProfiles []strin
 	if err != nil {
 		return nil, err
 	}
-	ids := rand.New(rand.NewSource(seed)).Perm(8 * cvN)[:cvN]
 	for _, desc := range cvProfiles {
 		prof, err := model.ParseProfile(desc)
 		if err != nil {
 			return nil, err
 		}
-		res, err := algorithms.ColeVishkinMISFaulty(h, ids, prof.New(h, seed))
+		// A fresh seed-17 rng per row: every profile runs on the same
+		// identifiers.
+		spec := algorithms.Spec{Algo: "cole-vishkin", Sched: prof.New(h, seed)}
+		out, err := algorithms.Run(context.TODO(), model.NewEngine(h), h, rand.New(rand.NewSource(seed)), spec)
 		if err != nil {
 			return nil, err
 		}
-		rep := res.Report
-		survivors := rep.Survivors(cvN)
-		t.AddRow("Cole–Vishkin MIS (ID)", "dcycle", desc, cvN, res.Rounds,
-			rep.NumCrashed, rep.Dropped, res.MIS.Size(),
-			float64(res.MIS.Size())/float64(survivors),
-			yn(res.Violations == 0 && res.Uncovered == 0))
+		rep := out.Report
+		t.AddRow("Cole–Vishkin MIS (ID)", "dcycle", desc, cvN, out.Rounds,
+			rep.NumCrashed, rep.Dropped, out.Size,
+			float64(out.Size)/float64(rep.Survivors(cvN)),
+			yn(out.Violations == 0 && out.Uncovered == 0))
 	}
 	for _, hostDesc := range matchHosts {
 		rh, err := host.Parse(hostDesc)
@@ -88,16 +90,16 @@ func degradation(cvN int, cvProfiles []string, matchHosts, matchProfiles []strin
 			// One rng per (host, profile) cell: the proposals are
 			// identical across the profile column, so the degradation is
 			// purely the schedule's doing.
-			rng := rand.New(rand.NewSource(seed))
-			res, err := algorithms.RandomizedMatchingFaulty(mh, rng, prof.New(mh, seed))
+			spec := algorithms.Spec{Algo: "matching", Sched: prof.New(mh, seed)}
+			out, err := algorithms.Run(context.TODO(), model.NewEngine(mh), mh, rand.New(rand.NewSource(seed)), spec)
 			if err != nil {
 				return nil, err
 			}
-			rep := res.Report
-			t.AddRow("randomized matching", rh.Desc, desc, n, 2,
-				rep.NumCrashed, rep.Dropped, res.Matching.Size(),
-				float64(res.Matching.Size())/float64(rep.Survivors(n)),
-				yn(res.Conflicts == 0))
+			rep := out.Report
+			t.AddRow("randomized matching", rh.Desc, desc, n, out.Rounds,
+				rep.NumCrashed, rep.Dropped, out.Size,
+				float64(out.Size)/float64(rep.Survivors(n)),
+				yn(out.Conflicts == 0))
 		}
 	}
 	t.Notes = append(t.Notes,

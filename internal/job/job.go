@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/algorithms"
 	"repro/internal/ckpt"
 	"repro/internal/host"
 	"repro/internal/model"
@@ -73,13 +74,14 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Host is a host-registry descriptor (host.Parse grammar).
 	Host string `json:"host"`
-	// Algo names the run workload (cole-vishkin, matching, gather).
+	// Algo names the run workload (algorithms.Workloads).
 	Algo string `json:"algo,omitempty"`
 	// Seed derives all job randomness (ids, rng); default 1.
 	Seed int64 `json:"seed,omitempty"`
 	// Faults is a fault-profile descriptor; empty runs clean.
 	Faults string `json:"faults,omitempty"`
-	// Rounds is the flood horizon (flood only; >= 1).
+	// Rounds is the flood horizon: required (>= 1) for flood jobs,
+	// 0 meaning n for run:flood.
 	Rounds int `json:"rounds,omitempty"`
 	// Rmax is the sweep/gather radius (measure, run:gather).
 	Rmax int `json:"rmax,omitempty"`
@@ -109,10 +111,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("job: flood needs rounds >= 1 (got %d)", s.Rounds)
 		}
 	case "run":
-		switch s.Algo {
-		case "cole-vishkin", "matching", "gather":
-		default:
-			return fmt.Errorf("job: unknown run workload %q (want cole-vishkin, matching or gather)", s.Algo)
+		if _, ok := algorithms.LookupWorkload(s.Algo); !ok {
+			return fmt.Errorf("job: unknown run workload %q\n%s", s.Algo, algorithms.DescribeWorkloads())
 		}
 	case "measure":
 		if s.Rmax < 1 {

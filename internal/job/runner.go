@@ -18,11 +18,11 @@ import (
 )
 
 // This file is the workload layer of the job subsystem: each runner
-// resolves a validated spec into the repo's engine entry points (the
-// On variants, so the runner controls engine arming), wires the
-// checkpoint cadence into the job's on-disk store, arms a resume
-// snapshot when the store holds one, and renders a deterministic JSON
-// result. Result bytes are a pure function of the spec — no
+// resolves a validated spec, builds the engine itself (so it controls
+// arming), wires the checkpoint cadence into the job's on-disk store,
+// arms a resume snapshot when the store holds one, runs flood and run
+// jobs through the shared workload runner (algorithms.Run), and
+// renders a deterministic JSON result. Result bytes are a pure function of the spec — no
 // timestamps, no attempt counters — so an interrupted-and-resumed job
 // produces the same bytes as an uninterrupted control run.
 
@@ -79,14 +79,15 @@ func (a *attempt) engineCheckpointer(total int) *model.Checkpointer {
 	return ck
 }
 
-// wordEngine builds the context-armed word engine for an engine job,
-// with checkpointing into the store and resume from the latest valid
-// snapshot when one exists. Corrupt or truncated snapshot files fail
-// the container hash and are skipped by LatestValid, falling back to
-// the previous checkpoint (or a fresh start).
-func (a *attempt) wordEngine(h *model.Host, total int) (*model.WordEngine, error) {
-	e := model.TypedOn[uint64](model.NewEngine(h).WithContext(a.ctx))
-	if a.every < 0 {
+// engine builds the engine for an engine job. A checkpointed workload
+// snapshots into the store and resumes from the latest valid snapshot
+// when one exists; corrupt or truncated snapshot files fail the
+// container hash and are skipped by LatestValid, falling back to the
+// previous checkpoint (or a fresh start). Other workloads run on a
+// plain engine and restart from scratch after a crash.
+func (a *attempt) engine(h *model.Host, total int, checkpointed bool) (*model.Engine, error) {
+	e := model.NewEngine(h)
+	if a.every < 0 || !checkpointed {
 		return e, nil
 	}
 	e = e.WithCheckpoints(a.engineCheckpointer(total))
@@ -122,18 +123,6 @@ func (s *Spec) seed() int64 {
 	return s.Seed
 }
 
-// schedule builds the fault schedule, or nil for clean runs.
-func (s *Spec) schedule(h *model.Host) (model.Schedule, string, error) {
-	if s.Faults == "" {
-		return nil, "", nil
-	}
-	prof, err := model.ParseProfile(s.Faults)
-	if err != nil {
-		return nil, "", err
-	}
-	return prof.New(h, s.seed()), prof.Desc, nil
-}
-
 // faultSummary is the fault block of job results (present only on
 // faulty runs).
 type faultSummary struct {
@@ -147,11 +136,44 @@ type faultSummary struct {
 	Conflicts  int    `json:"conflicts,omitempty"`
 }
 
-func summarise(profile string, rep *model.FaultReport) *faultSummary {
-	return &faultSummary{
-		Profile: profile, Crashed: rep.NumCrashed,
-		Dropped: rep.Dropped, Duplicated: rep.Duplicated, Reordered: rep.Reordered,
+// runWorkload resolves the host and runs a flood or run job's workload
+// through the shared runner, on an engine checkpointing into the job's
+// store when the workload allows it. The fault summary is nil on clean
+// runs.
+func runWorkload(a *attempt, spec Spec, algo string, total int) (desc string, n int, out *algorithms.Outcome, faults *faultSummary, err error) {
+	h, desc, err := resolveHost(spec.Host)
+	if err != nil {
+		return "", 0, nil, nil, err
 	}
+	rs := algorithms.Spec{Algo: algo, Rmax: spec.Rmax, Rounds: spec.Rounds}
+	if spec.Faults != "" {
+		prof, err := model.ParseProfile(spec.Faults)
+		if err != nil {
+			return "", 0, nil, nil, err
+		}
+		rs.Sched = prof.New(h, spec.seed())
+	}
+	w, ok := algorithms.LookupWorkload(algo)
+	if !ok {
+		return "", 0, nil, nil, fmt.Errorf("job: unknown run workload %q", algo)
+	}
+	e, err := a.engine(h, total, w.Checkpointed)
+	if err != nil {
+		return "", 0, nil, nil, err
+	}
+	out, err = algorithms.Run(a.ctx, e, h, rand.New(rand.NewSource(spec.seed())), rs)
+	if err != nil {
+		return "", 0, nil, nil, err
+	}
+	if rs.Sched != nil {
+		rep := out.Report
+		faults = &faultSummary{
+			Profile: rep.Profile, Crashed: rep.NumCrashed,
+			Dropped: rep.Dropped, Duplicated: rep.Duplicated, Reordered: rep.Reordered,
+			Violations: out.Violations, Uncovered: out.Uncovered, Conflicts: out.Conflicts,
+		}
+	}
+	return desc, h.G.N(), out, faults, nil
 }
 
 // runSpec dispatches a validated spec to its workload runner.
@@ -185,38 +207,15 @@ type floodResult struct {
 // runFlood is the long-horizon crash-drill workload: FloodMax for the
 // spec's horizon, checkpointing every cadence rounds.
 func runFlood(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := resolveHost(spec.Host)
+	desc, n, res, faults, err := runWorkload(a, spec, "flood", spec.Rounds)
 	if err != nil {
 		return nil, err
-	}
-	n := h.G.N()
-	ids := rand.New(rand.NewSource(spec.seed())).Perm(8 * n)[:n]
-	sched, prof, err := spec.schedule(h)
-	if err != nil {
-		return nil, err
-	}
-	e, err := a.wordEngine(h, spec.Rounds)
-	if err != nil {
-		return nil, err
-	}
-	var res *algorithms.FloodMaxResult
-	if sched != nil {
-		res, err = algorithms.FloodMaxFaultyOn(e, h, ids, spec.Rounds, sched)
-	} else {
-		res, err = algorithms.FloodMaxOn(e, h, ids, spec.Rounds)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := floodResult{
-		Kind: "flood", Host: desc, N: n, Seed: spec.seed(), Horizon: spec.Rounds,
-		Rounds: res.Rounds, Leader: res.Leader, Converged: res.Converged,
-	}
-	if res.Report != nil {
-		out.Faults = summarise(prof, res.Report)
 	}
 	a.progress(spec.Rounds, spec.Rounds)
-	return json.Marshal(&out)
+	return json.Marshal(&floodResult{
+		Kind: "flood", Host: desc, N: n, Seed: spec.seed(), Horizon: spec.Rounds,
+		Rounds: res.Rounds, Leader: res.Leader, Converged: res.Size, Faults: faults,
+	})
 }
 
 // runResult is the result body of run jobs (mirrors /v1/run).
@@ -231,89 +230,20 @@ type runResult struct {
 	Faults *faultSummary `json:"faults,omitempty"`
 }
 
-// gatherFaultSlack mirrors the synchronous run path.
-const gatherFaultSlack = 256
-
-// runEngineWorkload runs the /v1/run workloads as durable jobs. The
-// word-lane workloads (cole-vishkin, matching) checkpoint and resume
-// through the engine's default uint64 codec; gather's view trees live
-// outside the engine's state column and are not snapshotted, so gather
-// jobs restart from scratch after a crash instead of resuming.
+// runEngineWorkload runs the /v1/run workloads as durable jobs.
+// Checkpointed workloads resume through the engine's default uint64
+// codec; gather's view trees live outside the engine's state column
+// and are not snapshotted, so gather jobs restart from scratch after a
+// crash instead of resuming.
 func runEngineWorkload(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := resolveHost(spec.Host)
+	desc, n, res, faults, err := runWorkload(a, spec, spec.Algo, 0)
 	if err != nil {
 		return nil, err
 	}
-	n := h.G.N()
-	rng := rand.New(rand.NewSource(spec.seed()))
-	sched, prof, err := spec.schedule(h)
-	if err != nil {
-		return nil, err
-	}
-	out := runResult{Kind: "run", Host: desc, Algo: spec.Algo, N: n, Seed: spec.seed()}
-	switch spec.Algo {
-	case "cole-vishkin":
-		ids := rng.Perm(8 * n)[:n]
-		e, err := a.wordEngine(h, 0)
-		if err != nil {
-			return nil, err
-		}
-		if sched != nil {
-			res, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = res.Rounds, res.MIS.Size()
-			out.Faults = summarise(prof, res.Report)
-			out.Faults.Violations, out.Faults.Uncovered = res.Violations, res.Uncovered
-		} else {
-			res, err := algorithms.ColeVishkinMISOn(e, h, ids)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = res.Rounds, res.MIS.Size()
-		}
-	case "matching":
-		e, err := a.wordEngine(h, 0)
-		if err != nil {
-			return nil, err
-		}
-		if sched != nil {
-			res, err := algorithms.RandomizedMatchingFaultyOn(e, h, rng, sched)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = 2, res.Matching.Size()
-			out.Faults = summarise(prof, res.Report)
-			out.Faults.Conflicts = res.Conflicts
-		} else {
-			sol, err := algorithms.RandomizedMatchingOn(e, h, rng)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = 2, sol.Size()
-		}
-	case "gather":
-		r := spec.Rmax
-		if r < 1 {
-			r = 2
-		}
-		maxRounds := r + 2
-		if sched != nil {
-			maxRounds += gatherFaultSlack
-		}
-		trees, rounds, rep, err := model.Gather(a.ctx, h, r, maxRounds, sched)
-		if err != nil {
-			return nil, err
-		}
-		out.Rounds, out.Size = rounds, model.ViewTypes(trees, rep)
-		if sched != nil {
-			out.Faults = summarise(prof, rep)
-		}
-	default:
-		return nil, fmt.Errorf("job: unknown run workload %q", spec.Algo)
-	}
-	return json.Marshal(&out)
+	return json.Marshal(&runResult{
+		Kind: "run", Host: desc, Algo: spec.Algo, N: n, Seed: spec.seed(),
+		Rounds: res.Rounds, Size: res.Size, Faults: faults,
+	})
 }
 
 // measureResult is the result body of measure jobs (mirrors

@@ -29,7 +29,7 @@ func TestRunCancelledByDeadline(t *testing.T) {
 	h := HostFromGraph(graph.Torus(16, 16))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, _, err := TypedOn[uint64](NewEngine(h).WithContext(ctx)).RunStates(nil, neverHalt, 1<<30)
+	_, _, _, err := TypedOn[uint64](NewEngine(h).WithContext(ctx)).RunStates(nil, neverHalt, 1<<30, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -52,7 +52,7 @@ func TestRunCancelledFaultyCarriesProfile(t *testing.T) {
 	prof := MustParseProfile("lossy:p=0.05")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must abort before round 0
-	_, _, _, err := Gather(ctx, h, 3, 64, prof.New(h, 7))
+	_, _, _, err := Gather(NewEngine(h).WithContext(ctx), 3, 64, prof.New(h, 7))
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want wrapped context.Canceled", err)
 	}
@@ -69,7 +69,7 @@ func TestRunCancelledFaultyCarriesProfile(t *testing.T) {
 func TestWithContextNilDisarms(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(12))
 	te := TypedOn[uint64](NewEngine(h).WithContext(nil))
-	if _, _, err := te.RunStates(nil, typedPulseAlgo(2), 4); err != nil {
+	if _, _, _, err := te.RunStates(nil, typedPulseAlgo(2), 4, nil); err != nil {
 		t.Fatalf("nil-ctx run failed: %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestWithContextTypedPath(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	te := TypedOn[uint64](NewEngine(h).WithContext(ctx))
-	_, _, err := te.RunStates(nil, neverHalt, 64)
+	_, _, _, err := te.RunStates(nil, neverHalt, 64, nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("typed cancelled run: err=%v", err)
 	}

@@ -480,26 +480,26 @@ func (e *Engine) runCore(step func(int, *Outbox), prep func(*Outbox), sched Sche
 		}
 		return 0, nil, fmt.Errorf("model: node %d did not halt within %d rounds", active[0], maxRounds)
 	}
-	var rep *FaultReport
-	if sched != nil {
-		rep = &FaultReport{
-			Profile:    prof,
-			Dropped:    e.repBase.Dropped,
-			Duplicated: e.repBase.Duplicated,
-			Reordered:  e.repBase.Reordered,
-			DownSteps:  e.repBase.DownSteps,
-		}
-		for _, ob := range obs {
-			rep.Dropped += ob.dropped
-			rep.Duplicated += ob.duped
-			rep.Reordered += ob.reordered
-			rep.DownSteps += ob.downSteps
-		}
-		rep.Crashed = append([]bool(nil), e.crashed...)
-		for _, c := range rep.Crashed {
-			if c {
-				rep.NumCrashed++
-			}
+	if sched == nil {
+		return round, cleanReport(), nil
+	}
+	rep := &FaultReport{
+		Profile:    prof,
+		Dropped:    e.repBase.Dropped,
+		Duplicated: e.repBase.Duplicated,
+		Reordered:  e.repBase.Reordered,
+		DownSteps:  e.repBase.DownSteps,
+	}
+	for _, ob := range obs {
+		rep.Dropped += ob.dropped
+		rep.Duplicated += ob.duped
+		rep.Reordered += ob.reordered
+		rep.DownSteps += ob.downSteps
+	}
+	rep.Crashed = append([]bool(nil), e.crashed...)
+	for _, c := range rep.Crashed {
+		if c {
+			rep.NumCrashed++
 		}
 	}
 	return round, rep, nil

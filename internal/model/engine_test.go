@@ -118,7 +118,7 @@ func TestEngineDifferentialFlood(t *testing.T) {
 		refOuts, refRounds := referenceOutputs(t, h, ids)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16)
+			outs, rounds, _, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16, nil)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: engine: %v", name, p, err)
@@ -145,7 +145,7 @@ func TestEngineDifferentialGather(t *testing.T) {
 			}
 			for _, p := range []int{1, 8} {
 				old := par.Set(p)
-				trees, rounds, rep, err := Gather(context.Background(), h, r, r+2, nil)
+				trees, rounds, rep, err := Gather(NewEngine(h).WithContext(context.Background()), r, r+2, nil)
 				par.Set(old)
 				if err != nil {
 					t.Fatalf("%s r=%d p=%d: engine: %v", name, r, p, err)
@@ -176,7 +176,7 @@ func TestSimulatePORoundsDifferential(t *testing.T) {
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			sim, err := SimulatePORounds(h, alg, EdgeKind)
+			sim, _, err := SimulatePORounds(h, alg, EdgeKind, nil)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: SimulatePORounds: %v", name, p, err)
@@ -210,7 +210,7 @@ func TestEngineInboxLetterOrder(t *testing.T) {
 		},
 		Out: func(*[]view.Letter) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsTyped(h, nil, ordered, 4); err != nil {
+	if _, _, _, err := RunRoundsTyped(h, nil, ordered, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,12 +229,12 @@ func TestEngineErrorsMatchReference(t *testing.T) {
 		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	_, _, errE := RunRoundsTyped(h, nil, neverWord, 4)
+	_, _, _, errE := RunRoundsTyped(h, nil, neverWord, 4, nil)
 	_, _, errR := RunRoundsReference(h, nil, never, 4)
 	if errE == nil || errR == nil || errE.Error() != errR.Error() {
 		t.Errorf("non-halt errors differ: %v vs %v", errE, errR)
 	}
-	_, _, errE = RunRoundsTyped(h, []int{1, 2}, neverWord, 4)
+	_, _, _, errE = RunRoundsTyped(h, []int{1, 2}, neverWord, 4, nil)
 	_, _, errR = RunRoundsReference(h, []int{1, 2}, never, 4)
 	if errE == nil || errR == nil || errE.Error() != errR.Error() {
 		t.Errorf("ids-length errors differ: %v vs %v", errE, errR)
@@ -254,7 +254,7 @@ func TestEngineDuplicateSend(t *testing.T) {
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsTyped(h, nil, dup, 3); err == nil {
+	if _, _, _, err := RunRoundsTyped(h, nil, dup, 3, nil); err == nil {
 		t.Error("duplicate send accepted")
 	}
 }
@@ -293,7 +293,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	te := NewTypedEngine[pulseState](h)
 	runFor := func(rounds int) func() {
 		return func() {
-			if _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2); err != nil {
+			if _, _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -333,13 +333,13 @@ func TestEngineReuseAfterError(t *testing.T) {
 	ids := rng.Perm(24)[:6]
 	want, wantRounds := referenceOutputs(t, h, ids)
 	for i := 0; i < 3; i++ {
-		if _, _, err := e.RunStates(ids, bad, 4); err == nil {
+		if _, _, _, err := e.RunStates(ids, bad, 4, nil); err == nil {
 			t.Fatal("absent slot accepted")
 		}
-		if _, _, err := e.RunStates(ids, never, 4); err == nil {
+		if _, _, _, err := e.RunStates(ids, never, 4, nil); err == nil {
 			t.Fatal("non-halting run accepted")
 		}
-		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
+		outs, rounds, err := runOutputs(e, ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatalf("run after errors: %v", err)
 		}
@@ -358,11 +358,11 @@ func TestEngineReuse(t *testing.T) {
 	ids := rng.Perm(40)[:10]
 	var first []Output
 	for i := 0; i < 5; i++ {
-		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
+		outs, rounds, err := runOutputs(e, ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshRounds, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16)
+		fresh, freshRounds, _, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,4 +375,18 @@ func TestEngineReuse(t *testing.T) {
 			t.Fatalf("run %d differs from run 0", i)
 		}
 	}
+}
+
+// runOutputs runs a word algorithm clean on a reused engine and
+// extracts the per-node outputs.
+func runOutputs(e *WordEngine, ids []int, algo WordAlgo, maxRounds int) ([]Output, int, error) {
+	col, rounds, _, err := e.RunStates(ids, algo, maxRounds, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	outs := make([]Output, len(col))
+	for v := range col {
+		outs[v] = algo.Out(&col[v])
+	}
+	return outs, rounds, nil
 }

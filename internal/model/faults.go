@@ -94,6 +94,29 @@ func (r *FaultReport) CrashedNode(v int) bool {
 	return r != nil && r.Crashed != nil && r.Crashed[v]
 }
 
+// cleanReport is the report of a run with a nil schedule, on every
+// plane: profile "clean", every counter zero, nobody crashed.
+func cleanReport() *FaultReport { return &FaultReport{Profile: "clean"} }
+
+// FaultSlack is the round budget a run under a fault schedule gets
+// beyond its clean horizon: a node transiently down at its halting
+// round halts at its next up round, so crash-recover and churn
+// schedules need headroom the clean schedule does not. 256 rounds
+// makes a stuck run astronomically unlikely (a node must be down 256
+// consecutive rounds) while costing nothing when unused — only
+// non-halted nodes occupy the worklist.
+const FaultSlack = 256
+
+// Budget is the maxRounds of a run whose clean schedule halts within
+// clean rounds: clean itself on a nil schedule, clean+FaultSlack
+// under a schedule.
+func Budget(clean int, sched Schedule) int {
+	if sched == nil {
+		return clean
+	}
+	return clean + FaultSlack
+}
+
 // Survivors returns the number of non-crashed nodes among n.
 func (r *FaultReport) Survivors(n int) int {
 	if r == nil || r.Crashed == nil {

@@ -112,15 +112,15 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 // TestCleanFaultyPinsReference is the satellite differential pin: a
-// faulty-entry run with a nil (clean) schedule produces outputs, round
-// counts and error strings byte-identical to RunRoundsReference, and
-// its report is all-zero.
+// run with a nil (clean) schedule produces outputs, round counts and
+// error strings byte-identical to RunRoundsReference, and its report
+// is all-zero.
 func TestCleanFaultyPinsReference(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
 		refOuts, refRounds := referenceOutputs(t, h, ids)
-		outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 16, nil)
+		outs, rounds, rep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16, nil)
 		if err != nil {
 			t.Fatalf("%s: faulty-clean: %v", name, err)
 		}
@@ -140,7 +140,7 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, _, errF := RunRoundsTypedFaulty(h, nil, typedPulseAlgo(99), 3, nil)
+	_, _, _, errF := RunRoundsTyped(h, nil, typedPulseAlgo(99), 3, nil)
 	_, _, errR := RunRoundsReference(h, nil, never, 3)
 	if errF == nil || errR == nil || errF.Error() != errR.Error() {
 		t.Errorf("non-halt errors differ: %v vs %v", errF, errR)
@@ -153,7 +153,7 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 func TestErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err := RunRoundsTypedFaulty(h, nil, typedPulseAlgo(99), 4, sched)
+	_, _, _, err := RunRoundsTyped(h, nil, typedPulseAlgo(99), 4, sched)
 	want := "model: node 0 did not halt within 4 rounds [lossy:p=0]"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty non-halt error = %v, want %q", err, want)
@@ -170,7 +170,7 @@ func TestErrorFormats(t *testing.T) {
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, _, err = RunRoundsTypedFaulty(h, nil, dupAt, 6, sched)
+	_, _, _, err = RunRoundsTyped(h, nil, dupAt, 6, sched)
 	if err == nil || !strings.HasPrefix(err.Error(), "model: round 3 [lossy:p=0]: node ") ||
 		!strings.Contains(err.Error(), "sent twice on slot 1") {
 		t.Errorf("faulty double-send error lacks round/profile prefix: %v", err)
@@ -194,7 +194,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 		var results [2]result
 		for i, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, sched)
+			outs, rounds, rep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v (reproducer: seed=99, profile=%s)", desc, p, err, desc)
@@ -214,7 +214,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 func TestCrashProfiles(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(64))
 	ids := rand.New(rand.NewSource(5)).Perm(256)[:64]
-	_, _, rep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
+	_, _, rep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCrashProfiles(t *testing.T) {
 		t.Errorf("Crashed marks %d nodes, want 7", count)
 	}
 
-	_, _, rep, err = RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
+	_, _, rep, err = RunRoundsTyped(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFaultCounters(t *testing.T) {
 	run := func(desc string) *FaultReport {
 		t.Helper()
 		sched := MustParseProfile(desc).New(h, 11)
-		_, _, rep, err := Gather(context.Background(), h, 3, 300, sched)
+		_, _, rep, err := Gather(NewEngine(h).WithContext(context.Background()), 3, 300, sched)
 		if err != nil {
 			t.Fatalf("%s: %v (reproducer: seed=11, profile=%s)", desc, err, desc)
 		}
@@ -273,29 +273,29 @@ func TestFaultCounters(t *testing.T) {
 	}
 }
 
-// TestSimulatePORoundsFaulty: the clean schedule reproduces
-// SimulatePORounds exactly; dup+reorder survives the view assembly
-// (duplicate letters deduplicated, permuted inboxes re-sorted by
-// NewTree) and still reproduces the clean solution, because view
+// TestSimulatePORoundsFaulty: the clean schedule reproduces SimulatePO
+// exactly, with the "clean" report; dup+reorder survives the view
+// assembly (duplicate letters deduplicated, permuted inboxes re-sorted
+// by NewTree) and still reproduces the clean solution, because view
 // assembly is order-insensitive and duplication-idempotent.
 func TestSimulatePORoundsFaulty(t *testing.T) {
 	alg := FuncPO{R: 2, Fn: func(tr *view.Tree) Output {
 		return Output{Member: tr.NumChildren()%2 == 0}
 	}}
 	for name, h := range engineHosts(t) {
-		want, err := SimulatePORounds(h, alg, VertexKind)
+		want, err := SimulatePO(h, alg, VertexKind)
+		if err != nil {
+			t.Fatalf("%s: SimulatePO: %v", name, err)
+		}
+		got, rep, err := SimulatePORounds(h, alg, VertexKind, nil)
 		if err != nil {
 			t.Fatalf("%s: clean: %v", name, err)
 		}
-		got, rep, err := SimulatePORoundsFaulty(h, alg, VertexKind, nil, 300)
-		if err != nil {
-			t.Fatalf("%s: faulty-nil: %v", name, err)
-		}
 		if rep.Profile != "clean" || !reflect.DeepEqual(want.Vertices, got.Vertices) {
-			t.Fatalf("%s: clean faulty PO differs from SimulatePORounds", name)
+			t.Fatalf("%s: clean SimulatePORounds differs from SimulatePO", name)
 		}
 		sched := MustParseProfile("dup+reorder").New(h, 21)
-		got, rep, err = SimulatePORoundsFaulty(h, alg, VertexKind, sched, 300)
+		got, rep, err = SimulatePORounds(h, alg, VertexKind, sched)
 		if err != nil {
 			t.Fatalf("%s: dup+reorder: %v (reproducer: seed=21)", name, err)
 		}
@@ -314,11 +314,11 @@ func TestSimulatePORoundsFaulty(t *testing.T) {
 func TestLossyGatherDegrades(t *testing.T) {
 	h := HostFromGraph(graph.Torus(8, 8))
 	ctx := context.Background()
-	lossy, _, _, err := Gather(ctx, h, 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
+	lossy, _, _, err := Gather(NewEngine(h).WithContext(ctx), 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
 	if err != nil {
 		t.Fatalf("lossy gather: %v", err)
 	}
-	clean, _, _, err := Gather(ctx, h, 2, 4, nil)
+	clean, _, _, err := Gather(NewEngine(h).WithContext(ctx), 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestLossyGatherDegrades(t *testing.T) {
 	if degraded == 0 {
 		t.Error("p=0.5 loss degraded no view at all")
 	}
-	again, _, _, err := Gather(ctx, h, 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
+	again, _, _, err := Gather(NewEngine(h).WithContext(ctx), 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,16 +340,17 @@ func TestLossyGatherDegrades(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocsFaultyClean: a clean-profile run through
-// the faulty entry point still allocates nothing per steady-state
-// round.
+// TestEngineSteadyStateAllocsFaultyClean: a run under the parsed
+// "clean" profile (which binds to the nil schedule) still allocates
+// nothing per steady-state round.
 func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
 	te := NewTypedEngine[pulseState](h)
+	sched := MustParseProfile("clean").New(h, 1)
 	runFor := func(rounds int) func() {
 		return func() {
-			if _, _, _, err := te.RunStatesFaulty(nil, slotPulseAlgo(rounds), rounds+2, nil); err != nil {
+			if _, _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2, sched); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -372,10 +373,10 @@ func TestFaultyEngineReuse(t *testing.T) {
 	want, wantRounds := referenceOutputs(t, h, ids)
 	sched := MustParseProfile("lossy:p=0.4").New(h, 8)
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := e.RunStatesFaulty(ids, floodWordAlgo(), 300, sched); err != nil {
+		if _, _, _, err := e.RunStates(ids, floodWordAlgo(), 300, sched); err != nil {
 			t.Fatalf("faulty run %d: %v", i, err)
 		}
-		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
+		outs, rounds, err := runOutputs(e, ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatalf("clean run %d: %v", i, err)
 		}

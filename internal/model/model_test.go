@@ -326,7 +326,7 @@ func TestRunRoundsHaltFailure(t *testing.T) {
 	if _, _, err := RunRoundsStates(cycleHost(3), nil, never, 5); err == nil {
 		t.Error("non-halting algorithm accepted by the reference loop")
 	}
-	if _, _, err := RunRoundsTyped(cycleHost(3), nil, typedPulseAlgo(99), 5); err == nil {
+	if _, _, _, err := RunRoundsTyped(cycleHost(3), nil, typedPulseAlgo(99), 5, nil); err == nil {
 		t.Error("non-halting algorithm accepted by the engine")
 	}
 }
@@ -354,7 +354,7 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 	}
 	h := cycleHost(6)
 	ids := []int{5, 9, 1, 7, 3, 8}
-	outs, rounds, err := RunRoundsTyped(h, ids, algo, 10)
+	outs, rounds, _, err := RunRoundsTyped(h, ids, algo, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

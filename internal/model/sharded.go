@@ -175,17 +175,26 @@ type ShardedEngine struct {
 	ctx      context.Context
 }
 
+// MaxShards bounds the shard count. Every shard keeps a p+1 exchange
+// offset row and each barrier drain visits every (source, destination)
+// shard pair, so construction and rounds cost O(p²) on top of the
+// host; a few hundred shards already exceeds any useful split of the
+// cores the workers run on.
+const MaxShards = 256
+
 // NewShardedEngine partitions the source into p contiguous shards and
-// resolves every cross-shard arc into the exchange buffers. It fails
-// if any single shard's slot count would overflow the int32 per-shard
-// plane (raise p) or if the source is inconsistent.
+// resolves every cross-shard arc into the exchange buffers. A p above
+// n is capped at n (Shards reports the count in use); a p outside
+// 1..MaxShards is an error, returned before anything is allocated. It
+// also fails if any single shard's slot count would overflow the int32
+// per-shard plane (raise p) or if the source is inconsistent.
 func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 	n := src.N()
 	if n <= 0 {
 		return nil, fmt.Errorf("model: sharded engine needs a non-empty host, have n=%d", n)
 	}
-	if p < 1 {
-		return nil, fmt.Errorf("model: need at least one shard, have %d", p)
+	if p < 1 || p > MaxShards {
+		return nil, fmt.Errorf("model: shard count %d out of range (want 1..%d)", p, MaxShards)
 	}
 	if int64(p) > n {
 		p = int(n)
@@ -546,30 +555,6 @@ func (ob *ShardOutbox) BroadcastWord(w uint64) {
 // assignment that needs no materialised table.
 type IDFunc func(v int64) int
 
-// Run executes a sharded word algorithm and streams no outputs:
-// consume results with VisitStates (or Outputs for small hosts).
-func (se *ShardedEngine) Run(ids IDFunc, algo ShardedWordAlgo, maxRounds int) (int, error) {
-	rounds, _, err := se.run(ids, algo, maxRounds, nil)
-	return rounds, err
-}
-
-// RunFaulty is Run under a fault schedule with the flat engine's
-// exact semantics: fates, liveness and reorder draws use the global
-// (round, slot) and (round, node) coordinates, so a sharded faulty
-// run degrades identically to the unsharded run of the same
-// algorithm. Faulty runs require the global node and slot counts to
-// fit int32 (the Schedule coordinate width); clean runs do not.
-func (se *ShardedEngine) RunFaulty(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
-	rounds, rep, err := se.run(ids, algo, maxRounds, sched)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rep == nil {
-		rep = &FaultReport{Profile: "clean"}
-	}
-	return rounds, rep, nil
-}
-
 // Outputs extracts every node's output into a slice — small hosts
 // and differential tests only (it materialises n entries).
 func (se *ShardedEngine) Outputs(algo ShardedWordAlgo) []Output {
@@ -580,12 +565,23 @@ func (se *ShardedEngine) Outputs(algo ShardedWordAlgo) []Output {
 	return outs
 }
 
-// run is the sharded round-loop core: sequential global-order Init,
-// then per round a step phase (workers claim whole shards; each
-// shard's active sweep is sequential within it) and a barrier phase
-// (exchange drain + worklist compaction, again shard-parallel), with
-// error surfacing between them.
-func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
+// Run executes a sharded word algorithm under sched (nil: the clean
+// run) and streams no outputs: consume results with VisitStates (or
+// Outputs for small hosts). It returns the number of rounds and the
+// fault report, with the flat engine's convention and semantics: the
+// "clean" report on a nil schedule, and otherwise fates, liveness and
+// reorder draws at the global (round, slot) and (round, node)
+// coordinates, so a sharded faulty run degrades identically to the
+// unsharded run of the same algorithm. Faulty runs require the global
+// node and slot counts to fit int32 (the Schedule coordinate width);
+// clean runs do not.
+//
+// The round loop: sequential global-order Init, then per round a step
+// phase (workers claim whole shards; each shard's active sweep is
+// sequential within it) and a barrier phase (exchange drain and
+// worklist compaction, again shard-parallel), with error surfacing
+// between them.
+func (se *ShardedEngine) Run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
 	p := len(se.shards)
 	if sched != nil {
 		if se.nTotal > math.MaxInt32 || se.slots > math.MaxInt32 {
@@ -789,23 +785,23 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 			}
 		}
 	}
-	var rep *FaultReport
-	if sched != nil {
-		rep = &FaultReport{Profile: prof}
-		for _, ob := range obs {
-			rep.Dropped += ob.dropped
-			rep.Duplicated += ob.duped
-			rep.Reordered += ob.reordered
-			rep.DownSteps += ob.downSteps
-		}
-		rep.Crashed = make([]bool, se.nTotal)
-		for _, sh := range se.shards {
-			copy(rep.Crashed[sh.lo:sh.hi], sh.crashed)
-		}
-		for _, c := range rep.Crashed {
-			if c {
-				rep.NumCrashed++
-			}
+	if sched == nil {
+		return round, cleanReport(), nil
+	}
+	rep := &FaultReport{Profile: prof}
+	for _, ob := range obs {
+		rep.Dropped += ob.dropped
+		rep.Duplicated += ob.duped
+		rep.Reordered += ob.reordered
+		rep.DownSteps += ob.downSteps
+	}
+	rep.Crashed = make([]bool, se.nTotal)
+	for _, sh := range se.shards {
+		copy(rep.Crashed[sh.lo:sh.hi], sh.crashed)
+	}
+	for _, c := range rep.Crashed {
+		if c {
+			rep.NumCrashed++
 		}
 	}
 	return round, rep, nil

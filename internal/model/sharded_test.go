@@ -133,7 +133,7 @@ func TestShardedByteIdentical(t *testing.T) {
 			{
 				e := NewWordEngine(h)
 				var err error
-				wantCol, wantRounds, wantRep, err = e.RunStatesFaulty(ids, flatMixAlgo(rounds), 300, p.New(h, 42))
+				wantCol, wantRounds, wantRep, err = e.RunStates(ids, flatMixAlgo(rounds), 300, p.New(h, 42))
 				if err != nil {
 					t.Fatalf("%s/%s flat: %v", desc, prof, err)
 				}
@@ -147,7 +147,7 @@ func TestShardedByteIdentical(t *testing.T) {
 						par.Set(old)
 						t.Fatalf("%s: %v", name, err)
 					}
-					gotRounds, gotRep, err := se.RunFaulty(idf, shardedMixAlgo(rounds), 300, p.New(h, 42))
+					gotRounds, gotRep, err := se.Run(idf, shardedMixAlgo(rounds), 300, p.New(h, 42))
 					par.Set(old)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -191,7 +191,7 @@ func TestShardedImplicitMatchesMaterialised(t *testing.T) {
 		n := h.G.N()
 		ids, idf := diffIDs(n)
 		e := NewWordEngine(h)
-		wantCol, wantRounds, err := e.RunStates(ids, flatMixAlgo(rounds), 300)
+		wantCol, wantRounds, _, err := e.RunStates(ids, flatMixAlgo(rounds), 300, nil)
 		if err != nil {
 			t.Fatalf("%s flat: %v", desc, err)
 		}
@@ -200,7 +200,7 @@ func TestShardedImplicitMatchesMaterialised(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", desc, shards, err)
 			}
-			gotRounds, err := se.Run(idf, shardedMixAlgo(rounds), 300)
+			gotRounds, _, err := se.Run(idf, shardedMixAlgo(rounds), 300, nil)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", desc, shards, err)
 			}
@@ -279,7 +279,7 @@ func TestShardedExchangeLetterOrder(t *testing.T) {
 				},
 				Out: func(state *uint64) Output { return Output{} },
 			}
-			if _, err := se.Run(nil, algo, 4); err != nil {
+			if _, _, err := se.Run(nil, algo, 4, nil); err != nil {
 				t.Fatalf("%s P=%d: %v", desc, shards, err)
 			}
 			select {
@@ -299,7 +299,7 @@ func TestShardedErrorParity(t *testing.T) {
 
 	flatErr := func(algo WordAlgo) string {
 		e := NewWordEngine(h)
-		_, _, err := e.RunStates(nil, algo, 8)
+		_, _, _, err := e.RunStates(nil, algo, 8, nil)
 		if err == nil {
 			return ""
 		}
@@ -310,7 +310,7 @@ func TestShardedErrorParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = se.Run(nil, algo, 8)
+		_, _, err = se.Run(nil, algo, 8, nil)
 		if err == nil {
 			return ""
 		}
@@ -396,11 +396,11 @@ func TestShardedEngineReuse(t *testing.T) {
 	e := NewWordEngine(h)
 	for trial := 0; trial < 3; trial++ {
 		rounds := 5 + trial
-		wantCol, _, err := e.RunStates(ids, flatMixAlgo(rounds), 300)
+		wantCol, _, _, err := e.RunStates(ids, flatMixAlgo(rounds), 300, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := se.Run(idf, shardedMixAlgo(rounds), 300); err != nil {
+		if _, _, err := se.Run(idf, shardedMixAlgo(rounds), 300, nil); err != nil {
 			t.Fatal(err)
 		}
 		se.VisitStates(func(v int64, st uint64) {
@@ -444,7 +444,7 @@ func TestShardedStats(t *testing.T) {
 	if xout != 8 {
 		t.Fatalf("total exchange slots %d, want 8", xout)
 	}
-	if _, err := se.Run(nil, shardedMixAlgo(3), 300); err != nil {
+	if _, _, err := se.Run(nil, shardedMixAlgo(3), 300, nil); err != nil {
 		t.Fatal(err)
 	}
 	exchanged := int64(0)
@@ -475,7 +475,17 @@ func TestShardedConstructionGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = big
+	// Shard counts past MaxShards are rejected before anything is
+	// allocated: at p = 2^30 the per-shard exchange offsets alone
+	// would need exabytes.
+	for _, p := range []int{MaxShards + 1, 1 << 30} {
+		if _, err := NewShardedEngine(big, p); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("P=%d: err %v, want out of range", p, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { NewShardedEngine(big, 1<<30) }); allocs > 8 {
+		t.Fatalf("rejecting P=2^30 allocated %v times", allocs)
+	}
 }
 
 // badSource is deliberately non-reciprocal: node 0 claims an out-arc

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -59,7 +58,7 @@ func RunRoundsStates(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, 
 func RunRoundsReference(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
 	n := h.G.N()
 	if ids != nil && len(ids) != n {
-		return nil, 0, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), n)
+		return nil, 0, fmt.Errorf("model: %d ids for %d nodes", len(ids), n)
 	}
 	states := make([]any, n)
 	halted := make([]bool, n)
@@ -362,17 +361,20 @@ func gatherAlgo(n, r int) (TypedAlgo[gatherState], []*view.Tree) {
 }
 
 // Gather runs the radius-r full-information algorithm of GatherViews
-// on the engine's word lane and returns every node's gathered view,
+// on e's word lane under sched and returns every node's gathered view,
 // the number of rounds and the fault report. A nil schedule is the
 // clean run, whose views equal view.Build's radius-r trees; under a
 // schedule each view is whatever fragments survived it, and crashed
 // nodes keep the last view they assembled. maxRounds bounds the run:
-// pass slack beyond r+2 when the schedule can keep nodes transiently
-// down, since a down node halts only at its first up round at or
-// after the radius. The run polls ctx at every round barrier.
-func Gather(ctx context.Context, h *Host, r, maxRounds int, sched Schedule) ([]*view.Tree, int, *FaultReport, error) {
-	algo, final := gatherAlgo(h.G.N(), r)
-	_, rounds, rep, err := TypedOn[gatherState](NewEngine(h).WithContext(ctx)).RunStatesFaulty(nil, algo, maxRounds, sched)
+// Budget(r+2, sched) leaves room for nodes a schedule keeps
+// transiently down, since a down node halts only at its first up
+// round at or after the radius. The run polls e's context at every
+// round barrier. The trees live outside the engine's state column, so
+// a gather run cannot be checkpointed: arming e with a Checkpointer
+// makes it fail.
+func Gather(e *Engine, r, maxRounds int, sched Schedule) ([]*view.Tree, int, *FaultReport, error) {
+	algo, final := gatherAlgo(e.n, r)
+	_, rounds, rep, err := TypedOn[gatherState](e).RunStates(nil, algo, maxRounds, sched)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -393,23 +395,17 @@ func ViewTypes(trees []*view.Tree, rep *FaultReport) int {
 }
 
 // SimulatePORounds is SimulatePO driven end-to-end through the round
-// engine: the radius-r view is gathered by actual message passing
-// (Gather) and the algorithm's view function is applied to the final
-// views. By equation (1) the result coincides with RunPO and
-// SimulatePO, which the differential tests pin down.
-func SimulatePORounds(h *Host, alg PO, kind Kind) (*Solution, error) {
-	sol, _, err := SimulatePORoundsFaulty(h, alg, kind, nil, alg.Radius()+2)
-	return sol, err
-}
-
-// SimulatePORoundsFaulty is SimulatePORounds under a fault schedule:
-// each node's "view" is whatever fragments survived the schedule, and
-// the algorithm's view function is applied to those degraded views.
-// Crashed nodes produce no output (their vertices and incident-edge
-// selections are simply absent from the solution). maxRounds bounds
-// the run as in Gather.
-func SimulatePORoundsFaulty(h *Host, alg PO, kind Kind, sched Schedule, maxRounds int) (*Solution, *FaultReport, error) {
-	trees, _, rep, err := Gather(context.TODO(), h, alg.Radius(), maxRounds, sched)
+// engine under sched: the radius-r view is gathered by actual message
+// passing (Gather, with Budget(r+2, sched) rounds) and the algorithm's
+// view function is applied to the final views. On a nil schedule the
+// result coincides with RunPO and SimulatePO by equation (1), which
+// the differential tests pin down. Under a schedule each node's
+// "view" is whatever fragments survived, and crashed nodes produce no
+// output (their vertices and incident-edge selections are simply
+// absent from the solution).
+func SimulatePORounds(h *Host, alg PO, kind Kind, sched Schedule) (*Solution, *FaultReport, error) {
+	r := alg.Radius()
+	trees, _, rep, err := Gather(NewEngine(h), r, Budget(r+2, sched), sched)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -127,7 +127,7 @@ func TestSnapshotResumeTypedCodec(t *testing.T) {
 			}
 			control := map[int][]byte{}
 			e1 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(control))
-			states1, rounds1, rep1, err := e1.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
+			states1, rounds1, rep1, err := e1.RunStates(ids, snapFloodAlgo(), 64, sched)
 			if err != nil {
 				t.Fatalf("%s/%s: control: %v", name, prof, err)
 			}
@@ -142,7 +142,7 @@ func TestSnapshotResumeTypedCodec(t *testing.T) {
 				}
 				resumed := map[int][]byte{}
 				e2 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(resumed)).Resume(snap)
-				states2, rounds2, rep2, err := e2.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
+				states2, rounds2, rep2, err := e2.RunStates(ids, snapFloodAlgo(), 64, sched)
 				if err != nil {
 					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
 				}
@@ -182,7 +182,7 @@ func TestSnapshotResumeTyped(t *testing.T) {
 			}
 			control := map[int][]byte{}
 			e1 := NewWordEngine(h).WithCheckpoints(snapSink(control))
-			col1, rounds1, rep1, err := e1.RunStatesFaulty(ids, snapWordAlgo(), 64, sched)
+			col1, rounds1, rep1, err := e1.RunStates(ids, snapWordAlgo(), 64, sched)
 			if err != nil {
 				t.Fatalf("%s/%s: control: %v", name, prof, err)
 			}
@@ -197,7 +197,7 @@ func TestSnapshotResumeTyped(t *testing.T) {
 				}
 				resumed := map[int][]byte{}
 				e2 := NewWordEngine(h).WithCheckpoints(snapSink(resumed)).Resume(snap)
-				col2, rounds2, rep2, err := e2.RunStatesFaulty(ids, snapWordAlgo(), 64, sched)
+				col2, rounds2, rep2, err := e2.RunStates(ids, snapWordAlgo(), 64, sched)
 				if err != nil {
 					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
 				}
@@ -230,7 +230,7 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
 
 	e1 := NewWordEngine(h)
-	col1, rounds1, err := e1.RunStates(ids, snapWordAlgo(), 64)
+	col1, rounds1, _, err := e1.RunStates(ids, snapWordAlgo(), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 	e2.Engine().WithContext(ctx)
 	e2.WithCheckpoints(ck)
 	ck.RequestNow()
-	if _, _, err := e2.RunStates(ids, snapWordAlgo(), 64); err == nil {
+	if _, _, _, err := e2.RunStates(ids, snapWordAlgo(), 64, nil); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
 	if last == nil {
@@ -264,7 +264,7 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	e3 := NewWordEngine(h).Resume(snap)
-	col3, rounds3, err := e3.RunStates(ids, snapWordAlgo(), 64)
+	col3, rounds3, _, err := e3.RunStates(ids, snapWordAlgo(), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,17 +281,17 @@ func TestSnapshotDoubleResumeRejected(t *testing.T) {
 	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
 	var snaps []*Snapshot
 	ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { snaps = append(snaps, s); return nil }}
-	if _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64); err != nil {
+	if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) == 0 {
 		t.Fatal("no checkpoints")
 	}
 	snap := snaps[0]
-	if _, _, err := NewWordEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64); err != nil {
+	if _, _, _, err := NewWordEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 		t.Fatalf("first resume: %v", err)
 	}
-	if _, _, err := NewWordEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64); err == nil {
+	if _, _, _, err := NewWordEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64, nil); err == nil {
 		t.Fatal("second resume of one snapshot accepted")
 	}
 }
@@ -306,34 +306,34 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	grab := func() *Snapshot {
 		var snaps []*Snapshot
 		ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { snaps = append(snaps, s); return nil }}
-		if _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64); err != nil {
+		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 			t.Fatal(err)
 		}
 		return snaps[0]
 	}
 
 	// Default-codec snapshot into a run with its own state codec.
-	if _, _, err := NewTypedEngine[snapFloodState](h).Resume(grab()).RunStates(ids, snapFloodAlgo(), 64); err == nil {
+	if _, _, _, err := NewTypedEngine[snapFloodState](h).Resume(grab()).RunStates(ids, snapFloodAlgo(), 64, nil); err == nil {
 		t.Error("word-column snapshot accepted by a codec run")
 	}
 	// Clean snapshot into a faulty run.
 	sched := MustParseProfile("lossy:p=0.2").New(h, 99)
-	if _, _, _, err := NewWordEngine(h).Resume(grab()).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err == nil {
+	if _, _, _, err := NewWordEngine(h).Resume(grab()).RunStates(ids, snapWordAlgo(), 64, sched); err == nil {
 		t.Error("clean snapshot accepted by faulty run")
 	}
 	// Wrong host geometry.
 	h2 := HostFromGraph(graph.Torus(8, 8))
 	n2 := h2.G.N()
 	ids2 := rand.New(rand.NewSource(5)).Perm(4 * n2)[:n2]
-	if _, _, err := NewWordEngine(h2).Resume(grab()).RunStates(ids2, snapWordAlgo(), 64); err == nil {
+	if _, _, _, err := NewWordEngine(h2).Resume(grab()).RunStates(ids2, snapWordAlgo(), 64, nil); err == nil {
 		t.Error("snapshot accepted by mismatched host")
 	}
 	// A failed resume must not poison the engine for an ordinary run.
 	e := NewWordEngine(h2)
-	if _, _, err := e.Resume(grab()).RunStates(ids2, snapWordAlgo(), 64); err == nil {
+	if _, _, _, err := e.Resume(grab()).RunStates(ids2, snapWordAlgo(), 64, nil); err == nil {
 		t.Fatal("mismatched resume accepted")
 	}
-	if _, _, err := e.RunStates(ids2, snapWordAlgo(), 64); err != nil {
+	if _, _, _, err := e.RunStates(ids2, snapWordAlgo(), 64, nil); err != nil {
 		t.Errorf("fresh run after failed resume: %v", err)
 	}
 }
@@ -345,7 +345,7 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
 	var payload []byte
 	ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { payload = s.Encode(); return nil }}
-	if _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64); err != nil {
+	if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeSnapshot(payload); err != nil {
@@ -372,7 +372,7 @@ func TestSnapshotCheckpointIdleAllocs(t *testing.T) {
 	te := NewWordEngine(h).WithCheckpoints(&Checkpointer{Every: 1 << 30})
 	runFor := func(rounds int) func() {
 		return func() {
-			if _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2); err != nil {
+			if _, _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -458,7 +458,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			sched = MustParseProfile(prof).New(h, 99)
 		}
 		ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { f.Add(s.Encode()); return nil }}
-		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
+		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, sched); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -496,7 +496,7 @@ func TestSnapshotTypedBytesPinned(t *testing.T) {
 			sum.Write(s.Encode())
 			return nil
 		}}
-		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
+		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, sched); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {

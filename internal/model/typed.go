@@ -93,55 +93,23 @@ func TypedOn[S any](e *Engine) *TypedEngine[S] {
 // WithContext.
 func (te *TypedEngine[S]) Engine() *Engine { return te.e }
 
-// Run executes a typed algorithm and extracts the per-node outputs.
-func (te *TypedEngine[S]) Run(ids []int, algo TypedAlgo[S], maxRounds int) ([]Output, int, error) {
-	states, rounds, err := te.RunStates(ids, algo, maxRounds)
-	if err != nil {
-		return nil, 0, err
-	}
-	outs := make([]Output, len(states))
-	for v := range states {
-		outs[v] = algo.Out(&states[v])
-	}
-	return outs, rounds, nil
-}
-
-// RunStates executes a typed algorithm and returns the final state
-// column and the number of rounds, failing if some node has not
-// halted after maxRounds. The column is owned by the typed engine and
-// overwritten by its next run.
-func (te *TypedEngine[S]) RunStates(ids []int, algo TypedAlgo[S], maxRounds int) ([]S, int, error) {
-	col, rounds, _, err := te.runStates(ids, algo, maxRounds, nil)
-	return col, rounds, err
-}
-
-// RunStatesFaulty is RunStates executing under a fault schedule: the
-// schedule's Fate is applied to every delivery at inbox-compaction
-// time (so drops, duplicates and reorderings happen between the send
-// and the receiver's Step), its State gates which nodes step each
-// round (down nodes skip the round silently; crashed nodes leave the
-// worklist for good), and the returned FaultReport counts what
-// actually happened. A nil schedule is the clean profile: the run
-// takes the engine's exact clean path and the report is all-zero.
-// Crashed nodes keep the last state they reached; callers decide how
-// to treat their outputs (FaultReport.CrashedNode).
-func (te *TypedEngine[S]) RunStatesFaulty(ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
-	col, rounds, rep, err := te.runStates(ids, algo, maxRounds, sched)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if rep == nil {
-		rep = &FaultReport{Profile: "clean"}
-	}
-	return col, rounds, rep, nil
-}
-
-// runStates initialises the state column and dispatches the clean or
-// faulty step path into the shared round-loop core.
-func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
+// RunStates executes a typed algorithm under sched and returns the
+// final state column, the number of rounds and the fault report,
+// failing if some node has not halted after maxRounds. A nil schedule
+// is the clean run: the engine takes its unmodified step path and the
+// report is the all-zero "clean" one. Under a schedule its Fate is
+// applied to every delivery at inbox-compaction time (so drops,
+// duplicates and reorderings happen between the send and the
+// receiver's Step), its State gates which nodes step each round (down
+// nodes skip the round silently; crashed nodes leave the worklist for
+// good), and the report counts what actually happened. Crashed nodes
+// keep the last state they reached; callers decide how to treat their
+// outputs (FaultReport.CrashedNode). The column is owned by the typed
+// engine and overwritten by its next run.
+func (te *TypedEngine[S]) RunStates(ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
 	e := te.e
 	if ids != nil && len(ids) != e.n {
-		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
+		return nil, 0, nil, fmt.Errorf("model: %d ids for %d nodes", len(ids), e.n)
 	}
 	for v := 0; v < e.n; v++ {
 		// NodeInfo letters are the letter-sorted slot row itself
@@ -319,18 +287,13 @@ func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) fun
 	}
 }
 
-// RunRoundsTyped executes a typed round algorithm on the host and
-// returns the per-node outputs and the number of rounds. Pass ids for
-// the ID model, nil for anonymous execution.
-func RunRoundsTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int) ([]Output, int, error) {
-	return NewTypedEngine[S](h).Run(ids, algo, maxRounds)
-}
-
-// RunRoundsTypedFaulty is RunRoundsTyped under a fault schedule (see
-// RunStatesFaulty; a nil schedule runs clean, and crashed nodes'
-// outputs are extracted from the last state they reached).
-func RunRoundsTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
-	col, rounds, rep, err := NewTypedEngine[S](h).RunStatesFaulty(ids, algo, maxRounds, sched)
+// RunRoundsTyped executes a typed round algorithm on a fresh engine
+// for the host under sched (nil: the clean run) and returns the
+// per-node outputs, the number of rounds and the fault report. Pass
+// ids for the ID model, nil for anonymous execution. Crashed nodes'
+// outputs are extracted from the last state they reached.
+func RunRoundsTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
+	col, rounds, rep, err := NewTypedEngine[S](h).RunStates(ids, algo, maxRounds, sched)
 	if err != nil {
 		return nil, 0, nil, err
 	}

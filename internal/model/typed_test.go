@@ -58,7 +58,7 @@ func TestTypedDifferentialFlood(t *testing.T) {
 		refOuts, refRounds := referenceOutputs(t, h, ids)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
+			outs, rounds, _, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16, nil)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: typed: %v", name, p, err)
@@ -84,13 +84,13 @@ func TestTypedFaultyFormsAgree(t *testing.T) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
 		sched := MustParseProfile(desc).New(h, 99)
-		wOuts, wRounds, wRep, err := RunRoundsTypedFaulty(h, ids, floodWordAlgo(), 300, sched)
+		wOuts, wRounds, wRep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 300, sched)
 		if err != nil {
 			t.Fatalf("%s: packed: %v", desc, err)
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			tOuts, tRounds, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
+			tOuts, tRounds, tRep, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: generic: %v", desc, p, err)
@@ -105,22 +105,20 @@ func TestTypedFaultyFormsAgree(t *testing.T) {
 	}
 }
 
-// TestTypedCleanFaultyPins: a nil schedule through the typed faulty
-// entry takes the exact clean path, with the all-zero "clean" report.
+// TestTypedCleanFaultyPins: a nil schedule through the generic-state
+// typed entry takes the exact clean path — the reference loop's
+// outputs and rounds — with the all-zero "clean" report.
 func TestTypedCleanFaultyPins(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(2)).Perm(4 * n)[:n]
-	want, wantRounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 16, nil)
+	want, wantRounds := referenceOutputs(t, h, ids)
+	outs, rounds, rep, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rounds != wantRounds || !reflect.DeepEqual(outs, want) {
-		t.Fatal("clean typed faulty run differs from typed clean run")
+		t.Fatal("clean typed run differs from the reference loop")
 	}
 	if rep.Profile != "clean" || rep.Dropped != 0 || rep.Duplicated != 0 ||
 		rep.Reordered != 0 || rep.DownSteps != 0 || rep.NumCrashed != 0 || rep.Crashed != nil {
@@ -168,7 +166,7 @@ func TestTypedInboxSlotRouting(t *testing.T) {
 		},
 		Out: func(*st) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsTyped(h, nil, algo, 4); err != nil {
+	if _, _, _, err := RunRoundsTyped(h, nil, algo, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,13 +189,13 @@ func TestTypedErrorFormats(t *testing.T) {
 			Out: func(*uint64) Output { return Output{} },
 		}
 	}
-	_, _, err := RunRoundsTyped(h, nil, badAt(2), 6)
+	_, _, _, err := RunRoundsTyped(h, nil, badAt(2), 6, nil)
 	want := "model: round 2: node 0 sent on absent slot 99 (node has 2)"
 	if err == nil || err.Error() != want {
 		t.Errorf("clean absent-slot error = %v, want %q", err, want)
 	}
 	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err = RunRoundsTypedFaulty(h, nil, badAt(2), 6, sched)
+	_, _, _, err = RunRoundsTyped(h, nil, badAt(2), 6, sched)
 	want = "model: round 2 [lossy:p=0]: node 0 sent on absent slot 99 (node has 2)"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty absent-slot error = %v, want %q", err, want)
@@ -212,7 +210,7 @@ func TestTypedErrorFormats(t *testing.T) {
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, err = RunRoundsTyped(h, nil, dup, 3)
+	_, _, _, err = RunRoundsTyped(h, nil, dup, 3, nil)
 	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0: node ") ||
 		!strings.Contains(err.Error(), "sent twice on slot 0") {
 		t.Errorf("typed double-send error lacks round prefix: %v", err)
@@ -223,13 +221,13 @@ func TestTypedErrorFormats(t *testing.T) {
 		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	_, _, err = RunRoundsTyped(h, nil, never, 4)
+	_, _, _, err = RunRoundsTyped(h, nil, never, 4, nil)
 	want = "model: node 0 did not halt within 4 rounds"
 	if err == nil || err.Error() != want {
 		t.Errorf("typed non-halt error = %v, want %q", err, want)
 	}
 
-	if _, _, err := RunRoundsTyped(h, []int{1, 2}, never, 4); err == nil ||
+	if _, _, _, err := RunRoundsTyped(h, []int{1, 2}, never, 4, nil); err == nil ||
 		!strings.Contains(err.Error(), "2 ids for 5 nodes") {
 		t.Errorf("typed ids-length error = %v", err)
 	}
@@ -261,7 +259,7 @@ func TestScratchPreSized(t *testing.T) {
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(4)).Perm(4 * n)[:n]
 	sched := MustParseProfile("dup+reorder:p=1").New(h, 7)
-	outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
+	outs, rounds, rep, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 300, sched)
 	if err != nil {
 		t.Fatalf("all-duplicate run: %v", err)
 	}
@@ -306,14 +304,14 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 	}{
 		{"clean", func(rounds int) func() {
 			return func() {
-				if _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2); err != nil {
+				if _, _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
 		{"faulty", func(rounds int) func() {
 			return func() {
-				if _, _, _, err := te.RunStatesFaulty(nil, typedPulseAlgo(rounds), rounds+2, sched); err != nil {
+				if _, _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2, sched); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -350,18 +348,18 @@ func TestTypedReuseAfterError(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	h2 := HostFromGraph(graph.Cycle(6))
-	want, _, err := NewWordEngine(h2).RunStates(nil, typedPulseAlgo(5), 8)
+	want, _, _, err := NewWordEngine(h2).RunStates(nil, typedPulseAlgo(5), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := te.RunStates(nil, bad, 4); err == nil {
+		if _, _, _, err := te.RunStates(nil, bad, 4, nil); err == nil {
 			t.Fatal("absent slot accepted")
 		}
-		if _, _, err := te.RunStates(nil, never, 4); err == nil {
+		if _, _, _, err := te.RunStates(nil, never, 4, nil); err == nil {
 			t.Fatal("non-halting typed run accepted")
 		}
-		col, _, err := te.RunStates(nil, typedPulseAlgo(5), 8)
+		col, _, _, err := te.RunStates(nil, typedPulseAlgo(5), 8, nil)
 		if err != nil {
 			t.Fatalf("typed run after errors: %v", err)
 		}
@@ -384,7 +382,7 @@ func TestSimulatePORoundsTypedDifferential(t *testing.T) {
 		for r, want := range levels {
 			for _, p := range []int{1, 8} {
 				old := par.Set(p)
-				got, _, _, err := Gather(context.Background(), h, r, r+2, nil)
+				got, _, _, err := Gather(NewEngine(h).WithContext(context.Background()), r, r+2, nil)
 				par.Set(old)
 				if err != nil {
 					t.Fatalf("%s r=%d p=%d: Gather: %v", name, r, p, err)
@@ -409,7 +407,7 @@ func TestSimulatePORoundsTypedFaulty(t *testing.T) {
 	for _, desc := range []string{"lossy:p=0.15", "crash:f=5,by=2", "dup+reorder:p=0.3"} {
 		h := HostFromGraph(graph.Torus(6, 6))
 		sched := MustParseProfile(desc).New(h, 13)
-		trees, _, rep, err := Gather(context.Background(), h, 2, 300, sched)
+		trees, _, rep, err := Gather(NewEngine(h).WithContext(context.Background()), 2, 300, sched)
 		if err != nil {
 			t.Fatalf("%s: gather: %v", desc, err)
 		}
@@ -419,7 +417,7 @@ func TestSimulatePORoundsTypedFaulty(t *testing.T) {
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			sol, solRep, err := SimulatePORoundsFaulty(h, alg, VertexKind, sched, 300)
+			sol, solRep, err := SimulatePORounds(h, alg, VertexKind, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", desc, p, err)

@@ -13,38 +13,12 @@ import (
 )
 
 // This file is the server's workload layer: each compute function
-// resolves the validated request into the repo's engine entry points
-// (always the Ctx variants, so the per-request deadline reaches the
-// round loop and the sweep loop) and renders the result as the JSON
-// body that the cache stores verbatim. Every computation is
+// resolves the validated request, runs it under the request context
+// (so the per-request deadline reaches the round loop and the sweep
+// loop) and renders the result as the JSON body that the cache stores
+// verbatim. Every computation is
 // deterministic in its canonical tuple, which is what makes the
 // bodies cacheable forever.
-
-// workloads is the run-endpoint registry, mirroring cmd/localsim's
-// scale mode; unknown algo values list it (self-repairing errors,
-// like the host and profile grammars).
-var workloads = []struct{ Name, Doc string }{
-	{"cole-vishkin", "ID-model MIS on a directed cycle (typed word-lane engine)"},
-	{"matching", "one round of randomized mutual proposals (typed word-lane engine)"},
-	{"gather", "full-information view gathering, radius rmax (default 2)"},
-}
-
-func describeWorkloads() string {
-	s := "workloads:\n"
-	for _, w := range workloads {
-		s += fmt.Sprintf("  %-14s %s\n", w.Name, w.Doc)
-	}
-	return s
-}
-
-func knownWorkload(name string) bool {
-	for _, w := range workloads {
-		if w.Name == name {
-			return true
-		}
-	}
-	return false
-}
 
 // measureResponse is the body of /v1/measure.
 type measureResponse struct {
@@ -89,7 +63,8 @@ type runResponse struct {
 	N      int    `json:"n"`
 	Seed   int64  `json:"seed"`
 	Rounds int    `json:"rounds"`
-	// Size is the solution size: |MIS|, |M|, or distinct view types.
+	// Size is the solution size: |MIS|, |M|, distinct view types, or
+	// converged flood nodes.
 	Size   int          `json:"size"`
 	Faults *faultResult `json:"faults,omitempty"`
 	// Sharded is present only on shards= runs.
@@ -118,116 +93,35 @@ type faultResult struct {
 	Conflicts  int `json:"conflicts"`
 }
 
-// gatherFaultSlack mirrors cmd/localsim: headroom beyond the clean
-// horizon for nodes transiently down at their halting round.
-const gatherFaultSlack = 256
-
 // computeRun resolves the host (or the synthesized n-node default:
 // the directed cycle for cole-vishkin, the port-numbered cycle
-// otherwise), arms the engine with the request context, and runs the
-// named workload clean or under the fault profile.
+// otherwise) and runs the named workload under the request context
+// through the shared workload runner, clean or under the fault
+// profile.
 func computeRun(ctx context.Context, hostDesc, algo string, seed int64, faults string, rmax int) ([]byte, error) {
 	rh, err := host.Parse(hostDesc)
 	if err != nil {
 		return nil, err
 	}
-	var h *model.Host
-	if rh.D != nil {
-		h = &model.Host{D: rh.D, G: rh.G}
-	} else {
-		h = model.HostFromGraph(rh.G)
+	h := modelHost(rh)
+	spec := algorithms.Spec{Algo: algo, Rmax: rmax}
+	if spec.Sched, err = schedule(faults, h, seed); err != nil {
+		return nil, err
 	}
-	n := h.G.N()
-	var sched model.Schedule
-	var profDesc string
-	if faults != "" {
-		prof, err := model.ParseProfile(faults)
-		if err != nil {
-			return nil, err
-		}
-		sched = prof.New(h, seed)
-		profDesc = prof.Desc
+	out, err := algorithms.Run(ctx, model.NewEngine(h), h, rand.New(rand.NewSource(seed)), spec)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	resp := runResponse{Host: rh.Desc, Algo: algo, N: n, Seed: seed}
-	switch algo {
-	case "cole-vishkin":
-		if h.D == nil || !h.D.IsRegularDigraph(1) {
-			return nil, fmt.Errorf("cole-vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
-		}
-		ids := rng.Perm(8 * n)[:n]
-		if sched != nil {
-			res, err := algorithms.ColeVishkinMISFaultyCtx(ctx, h, ids, sched)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = res.Rounds, res.MIS.Size()
-			resp.Faults = &faultResult{
-				Profile: profDesc, Crashed: res.Report.NumCrashed,
-				Dropped: res.Report.Dropped, Duplicated: res.Report.Duplicated,
-				Reordered:  res.Report.Reordered,
-				Violations: res.Violations, Uncovered: res.Uncovered,
-			}
-		} else {
-			res, err := algorithms.ColeVishkinMISCtx(ctx, h, ids)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = res.Rounds, res.MIS.Size()
-		}
-	case "matching":
-		if sched != nil {
-			res, err := algorithms.RandomizedMatchingFaultyCtx(ctx, h, rng, sched)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = 2, res.Matching.Size()
-			resp.Faults = &faultResult{
-				Profile: profDesc, Crashed: res.Report.NumCrashed,
-				Dropped: res.Report.Dropped, Duplicated: res.Report.Duplicated,
-				Reordered: res.Report.Reordered, Conflicts: res.Conflicts,
-			}
-		} else {
-			sol, err := algorithms.RandomizedMatchingCtx(ctx, h, rng)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = 2, sol.Size()
-		}
-	case "gather":
-		r := 2
-		if rmax >= 1 {
-			r = rmax
-		}
-		maxRounds := r + 2
-		if sched != nil {
-			maxRounds += gatherFaultSlack
-		}
-		trees, rounds, rep, err := model.Gather(ctx, h, r, maxRounds, sched)
-		if err != nil {
-			return nil, err
-		}
-		resp.Rounds, resp.Size = rounds, model.ViewTypes(trees, rep)
-		if sched != nil {
-			resp.Faults = &faultResult{
-				Profile: profDesc, Crashed: rep.NumCrashed,
-				Dropped: rep.Dropped, Duplicated: rep.Duplicated,
-				Reordered: rep.Reordered,
-			}
-		}
-	default:
-		return nil, fmt.Errorf("unknown workload %q\n%s", algo, describeWorkloads())
-	}
-	return json.Marshal(resp)
+	return runBody(rh.Desc, algo, h.G.N(), seed, spec, out)
 }
 
-// computeRunSharded is the shards= path of /v1/run: cole-vishkin and
-// matching on model.ShardedEngine, generated shard-locally when the
-// family has an implicit source (so descriptors past the flat int32
-// capacity run in bounded resident memory) and adapted from the
-// materialised host otherwise. The engine registers with the server's
-// shard gauges, so /metrics shows per-shard occupancy and exchange
-// volume while the run is in flight and a final snapshot after.
+// computeRunSharded is the shards= path of /v1/run: a sharded workload
+// on model.ShardedEngine, generated shard-locally when the family has
+// an implicit source (so descriptors past the flat int32 capacity run
+// in bounded resident memory) and adapted from the materialised host
+// otherwise. The engine registers with the server's shard gauges, so
+// /metrics shows per-shard occupancy and exchange volume while the run
+// is in flight and a final snapshot after.
 func (s *Server) computeRunSharded(ctx context.Context, hostDesc, algo string, seed int64, faults string, shards int) ([]byte, error) {
 	desc := hostDesc
 	src, err := host.ParseShard(hostDesc)
@@ -236,89 +130,69 @@ func (s *Server) computeRunSharded(ctx context.Context, hostDesc, algo string, s
 		if perr != nil {
 			return nil, fmt.Errorf("%w\n(no implicit shard source either: %v)", perr, err)
 		}
-		var h *model.Host
-		if rh.D != nil {
-			h = &model.Host{D: rh.D, G: rh.G}
-		} else {
-			h = model.HostFromGraph(rh.G)
-		}
-		src, desc = model.SourceOf(h), rh.Desc
-	}
-	var sched model.Schedule
-	var profDesc string
-	if faults != "" {
-		prof, err := model.ParseProfile(faults)
-		if err != nil {
-			return nil, err
-		}
-		mh, err := model.MaterializeSource(src)
-		if err != nil {
-			return nil, fmt.Errorf("faults with shards need a materialisable host (schedules hash global coordinates from a flat host): %w", err)
-		}
-		sched = prof.New(mh, seed)
-		profDesc = prof.Desc
+		src, desc = model.SourceOf(modelHost(rh)), rh.Desc
 	}
 	se, err := model.NewShardedEngine(src, shards)
 	if err != nil {
 		return nil, err
 	}
-	se.WithContext(ctx)
+	spec := algorithms.Spec{Algo: algo}
+	if faults != "" {
+		mh, err := model.MaterializeSource(src)
+		if err != nil {
+			return nil, fmt.Errorf("faults with shards need a materialisable host (schedules hash global coordinates from a flat host): %w", err)
+		}
+		if spec.Sched, err = schedule(faults, mh, seed); err != nil {
+			return nil, err
+		}
+	}
 	s.shard.track(se, desc)
 	completed := false
 	defer func() { s.shard.finish(se, desc, completed) }()
-	n := src.N()
-	resp := runResponse{Host: desc, Algo: algo, N: int(n), Seed: seed}
-	switch algo {
-	case "cole-vishkin":
-		idf := model.SeededIDs(n, seed)
-		if sched != nil {
-			res, err := algorithms.ColeVishkinMISShardedFaulty(se, idf, int(n-1), sched)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = res.Rounds, int(res.MISSize)
-			resp.Faults = &faultResult{
-				Profile: profDesc, Crashed: res.Report.NumCrashed,
-				Dropped: res.Report.Dropped, Duplicated: res.Report.Duplicated,
-				Reordered:  res.Report.Reordered,
-				Violations: int(res.Violations), Uncovered: int(res.Uncovered),
-			}
-		} else {
-			res, err := algorithms.ColeVishkinMISSharded(se, idf, int(n-1))
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = res.Rounds, int(res.MISSize)
-		}
-	case "matching":
-		rng := rand.New(rand.NewSource(seed))
-		if sched != nil {
-			res, err := algorithms.RandomizedMatchingShardedFaulty(se, rng, sched)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = 2, int(res.Matched)
-			resp.Faults = &faultResult{
-				Profile: profDesc, Crashed: res.Report.NumCrashed,
-				Dropped: res.Report.Dropped, Duplicated: res.Report.Duplicated,
-				Reordered: res.Report.Reordered, Conflicts: int(res.Conflicts),
-			}
-		} else {
-			res, err := algorithms.RandomizedMatchingSharded(se, rng)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rounds, resp.Size = 2, int(res.Matched)
-		}
-	default:
-		return nil, fmt.Errorf("shards supports the cole-vishkin and matching workloads only")
+	out, err := algorithms.RunSharded(ctx, se, seed, spec)
+	if err != nil {
+		return nil, err
 	}
 	completed = true
-	var arcs, words int64
-	for _, st := range se.Stats() {
-		arcs += st.ExchangeOut
-		words += st.Exchanged
+	return runBody(desc, algo, int(src.N()), seed, spec, out)
+}
+
+// modelHost adapts a registry host to the engine, using the family's
+// own labelling when it has one.
+func modelHost(rh *host.Host) *model.Host {
+	if rh.D != nil {
+		return &model.Host{D: rh.D, G: rh.G}
 	}
-	resp.Sharded = &shardedResult{P: shards, CrossArcs: arcs, ExchangedWords: words}
+	return model.HostFromGraph(rh.G)
+}
+
+// schedule binds the faults= descriptor to the host and seed; nil for
+// clean runs.
+func schedule(faults string, h *model.Host, seed int64) (model.Schedule, error) {
+	if faults == "" {
+		return nil, nil
+	}
+	prof, err := model.ParseProfile(faults)
+	if err != nil {
+		return nil, err
+	}
+	return prof.New(h, seed), nil
+}
+
+// runBody renders a /v1/run response: the fault block on runs under a
+// schedule, the sharded block on sharded runs.
+func runBody(desc, algo string, n int, seed int64, spec algorithms.Spec, out *algorithms.Outcome) ([]byte, error) {
+	resp := runResponse{Host: desc, Algo: algo, N: n, Seed: seed, Rounds: out.Rounds, Size: out.Size}
+	if spec.Sched != nil {
+		rep := out.Report
+		resp.Faults = &faultResult{
+			Profile: rep.Profile, Crashed: rep.NumCrashed,
+			Dropped: rep.Dropped, Duplicated: rep.Duplicated, Reordered: rep.Reordered,
+			Violations: out.Violations, Uncovered: out.Uncovered, Conflicts: out.Conflicts,
+		}
+	}
+	if out.Shards > 0 {
+		resp.Sharded = &shardedResult{P: out.Shards, CrossArcs: out.CrossArcs, ExchangedWords: out.ExchangedWords}
+	}
 	return json.Marshal(resp)
 }

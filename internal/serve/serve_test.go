@@ -443,7 +443,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // The /v1/run response bodies are pinned byte for byte: every
 // workload clean and under drop and crash schedules, gather also under
 // duplicate+reorder and crash-recover, cole-vishkin and matching also
-// at shards=2.
+// at shards=2. Flood runs its default horizon of n rounds.
 func TestRunBodiesPinned(t *testing.T) {
 	s := New(Config{})
 	for _, tc := range []struct{ target, want string }{
@@ -468,7 +468,7 @@ func TestRunBodiesPinned(t *testing.T) {
 		{"/v1/run?algo=cole-vishkin&host=dcycle:1000&seed=3&faults=crash:f=40,by=8&shards=2",
 			`{"host":"dcycle:1000","algo":"cole-vishkin","n":1000,"seed":3,"rounds":12,"size":442,"faults":{"profile":"crash:f=40,by=8","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":4,"exchanged_words":44}}`},
 		{"/v1/run?algo=cole-vishkin&host=dcycle:16&shards=32",
-			`{"host":"dcycle:16","algo":"cole-vishkin","n":16,"seed":1,"rounds":10,"size":6,"sharded":{"p":32,"cross_arcs":32,"exchanged_words":288}}`},
+			`{"host":"dcycle:16","algo":"cole-vishkin","n":16,"seed":1,"rounds":10,"size":6,"sharded":{"p":16,"cross_arcs":32,"exchanged_words":288}}`},
 		{"/v1/run?algo=matching&host=torus:30x30&seed=3",
 			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108}`},
 		{"/v1/run?algo=matching&host=torus:30x30&seed=3&faults=lossy:p=0.05",
@@ -481,6 +481,12 @@ func TestRunBodiesPinned(t *testing.T) {
 			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":108,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":54,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":120,"exchanged_words":21}}`},
 		{"/v1/run?algo=matching&host=torus:30x30&seed=3&faults=crash:f=40,by=2&shards=2",
 			`{"host":"torus:30x30","algo":"matching","n":900,"seed":3,"rounds":2,"size":99,"faults":{"profile":"crash:f=40,by=2","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0},"sharded":{"p":2,"cross_arcs":120,"exchanged_words":21}}`},
+		{"/v1/run?algo=flood&host=cycle:512&seed=3",
+			`{"host":"cycle:512","algo":"flood","n":512,"seed":3,"rounds":513,"size":512}`},
+		{"/v1/run?algo=flood&host=cycle:512&seed=3&faults=lossy:p=0.05",
+			`{"host":"cycle:512","algo":"flood","n":512,"seed":3,"rounds":513,"size":512,"faults":{"profile":"lossy:p=0.05","crashed":0,"dropped":26237,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
+		{"/v1/run?algo=flood&host=cycle:512&seed=3&faults=crash:f=40,by=8",
+			`{"host":"cycle:512","algo":"flood","n":512,"seed":3,"rounds":513,"size":20,"faults":{"profile":"crash:f=40,by=8","crashed":40,"dropped":0,"duplicated":0,"reordered":0,"violations":0,"uncovered":0,"conflicts":0}}`},
 	} {
 		rr := do(t, s, tc.target)
 		if rr.Code != 200 || rr.Body.String() != tc.want {

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/algorithms"
 	"repro/internal/host"
 	"repro/internal/job"
 	"repro/internal/model"
@@ -252,7 +253,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case "/v1/profiles":
 		s.writeJSONValue(w, map[string]string{"grammar": model.DescribeProfiles()})
 	case "/v1/workloads":
-		s.writeJSONValue(w, workloads)
+		s.writeJSONValue(w, algorithms.Workloads)
 	case "/v1/measure":
 		s.handleMeasure(w, r)
 	case "/v1/run":
@@ -386,8 +387,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "unknown parameter %q (run takes algo, host, n, seed, faults, rmax, deadline_ms)", q.unknown)
 		return
 	}
-	if !knownWorkload(q.algo) {
-		s.badRequest(w, "unknown workload %q\n%s", q.algo, describeWorkloads())
+	wl, known := algorithms.LookupWorkload(q.algo)
+	if !known {
+		s.badRequest(w, "unknown workload %q\n%s", q.algo, algorithms.DescribeWorkloads())
 		return
 	}
 	if (q.host == "") == (q.n == "") {
@@ -427,8 +429,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	shards := 0
 	if q.shards != "" {
-		if q.algo != "cole-vishkin" && q.algo != "matching" {
-			s.badRequest(w, "shards supports the cole-vishkin and matching workloads only")
+		if !wl.Sharded {
+			s.badRequest(w, "shards supports the sharded workloads only (%s)", algorithms.ShardedWorkloads())
 			return
 		}
 		var ok bool

@@ -115,3 +115,16 @@ func TestMetricsShardedBlock(t *testing.T) {
 		t.Fatal("metrics body missing exchange_out")
 	}
 }
+
+// A shard count past model.MaxShards answers 400 before the engine
+// allocates anything, and the server keeps serving.
+func TestRunShardsCapped(t *testing.T) {
+	s := New(Config{})
+	rr := do(t, s, "/v1/run?algo=cole-vishkin&n=100000&shards=100000")
+	if rr.Code != 400 || !strings.Contains(rr.Body.String(), "shard count 100000 out of range") {
+		t.Fatalf("oversized shards: %d %s", rr.Code, rr.Body.String())
+	}
+	if rr := do(t, s, "/healthz"); rr.Code != 200 {
+		t.Fatalf("healthz after oversized shards: %d", rr.Code)
+	}
+}

@@ -159,19 +159,20 @@ var (
 // loop; SimulatePORounds drives a PO algorithm operationally through
 // the engine (DESIGN.md §9), whose packed uint64 form RunRoundsWord
 // and NewWordEngine expose (model.TypedOn[S] gives any state type).
+// Every engine entry takes a Schedule, and a nil Schedule is the clean
+// run.
 var (
-	HostFromGraph       = model.HostFromGraph
-	NewHost             = model.NewHost
-	RunPO               = model.RunPO
-	RunOI               = model.RunOI
-	RunID               = model.RunID
-	NewEngine           = model.NewEngine
-	NewWordEngine       = model.NewWordEngine
-	RunRoundsWord       = model.RunRoundsTyped[uint64]
-	RunRoundsWordFaulty = model.RunRoundsTypedFaulty[uint64]
-	RunRoundsRef        = model.RunRoundsReference
-	SimulatePO          = model.SimulatePO
-	SimulatePORounds    = model.SimulatePORounds
+	HostFromGraph    = model.HostFromGraph
+	NewHost          = model.NewHost
+	RunPO            = model.RunPO
+	RunOI            = model.RunOI
+	RunID            = model.RunID
+	NewEngine        = model.NewEngine
+	NewWordEngine    = model.NewWordEngine
+	RunRoundsWord    = model.RunRoundsTyped[uint64]
+	RunRoundsRef     = model.RunRoundsReference
+	SimulatePO       = model.SimulatePO
+	SimulatePORounds = model.SimulatePORounds
 )
 
 // The sharded giant-host plane (DESIGN.md §12): NewShardedEngine
@@ -183,7 +184,8 @@ var (
 // hosts past the flat int32 capacity in bounded resident memory; any
 // materialised host runs sharded through SourceOf. P=1 sharded output
 // is byte-identical to the flat Engine, clean and faulty alike (fault
-// coordinates stay global).
+// coordinates stay global). RunWorkloadSharded runs the sharded
+// workloads on it.
 type (
 	// ShardedEngine is the P-shard round engine.
 	ShardedEngine = model.ShardedEngine
@@ -202,40 +204,50 @@ type (
 	// WordSender is the send surface shared by the flat Outbox and the
 	// sharded outbox.
 	WordSender = model.WordSender
-	// ShardedCVResult is a sharded Cole–Vishkin run's summary.
-	ShardedCVResult = algorithms.ShardedCVResult
-	// ShardedMatchingResult is a sharded matching run's summary.
-	ShardedMatchingResult = algorithms.ShardedMatchingResult
 )
 
 var (
-	NewShardedEngine                = model.NewShardedEngine
-	ShardSourceOf                   = model.SourceOf
-	MaterializeShardSource          = model.MaterializeSource
-	SeededIDs                       = model.SeededIDs
-	ParseShardHost                  = host.ParseShard
-	ShardHostFamilies               = host.ShardFamilies
-	RegisterShardFamily             = host.RegisterShard
-	ColeVishkinSharded              = algorithms.ColeVishkinMISSharded
-	ColeVishkinShardedFaulty        = algorithms.ColeVishkinMISShardedFaulty
-	RandomizedMatchingSharded       = algorithms.RandomizedMatchingSharded
-	RandomizedMatchingShardedFaulty = algorithms.RandomizedMatchingShardedFaulty
-	VisitShardedMatching            = algorithms.VisitShardedMatching
+	NewShardedEngine       = model.NewShardedEngine
+	ShardSourceOf          = model.SourceOf
+	MaterializeShardSource = model.MaterializeSource
+	SeededIDs              = model.SeededIDs
+	ParseShardHost         = host.ParseShard
+	ShardHostFamilies      = host.ShardFamilies
+	RegisterShardFamily    = host.RegisterShard
+	VisitShardedMatching   = algorithms.VisitShardedMatching
 )
 
-// Fault injection (DESIGN.md §8): the *Faulty entry points take a
-// Schedule built from a parseable profile descriptor. A faulty
-// execution is a pure function of (host, ids, algorithm, profile
-// descriptor, seed), independent of worker count. ParseFaultProfile
-// errors list the grammar; a nil Schedule (or the "clean" profile) is
-// byte-identical to the clean engine.
+// Fault injection (DESIGN.md §8): every engine entry and the workload
+// runner take a Schedule built from a parseable profile descriptor. A
+// faulty execution is a pure function of (host, ids, algorithm,
+// profile descriptor, seed), independent of worker count.
+// ParseFaultProfile errors list the grammar; a nil Schedule (or the
+// "clean" profile) is the clean engine.
 var (
-	ParseFaultProfile        = model.ParseProfile
-	MustParseFaultProfile    = model.MustParseProfile
-	FaultProfiles            = model.DescribeProfiles
-	SimulatePORoundsFaulty   = model.SimulatePORoundsFaulty
-	ColeVishkinFaulty        = algorithms.ColeVishkinMISFaulty
-	RandomizedMatchingFaulty = algorithms.RandomizedMatchingFaulty
+	ParseFaultProfile     = model.ParseProfile
+	MustParseFaultProfile = model.MustParseProfile
+	FaultProfiles         = model.DescribeProfiles
+)
+
+// The workload runner (DESIGN.md §13): the one entry behind localsim,
+// /v1/run, jobs and E17. A WorkloadSpec names a registered workload
+// (Workloads), its fault schedule and its radius or horizon;
+// RunWorkload runs it on a caller-built flat engine and
+// RunWorkloadSharded on a sharded one, each under a context and each
+// returning one WorkloadOutcome.
+type (
+	// Workload is one entry of the workload registry.
+	Workload = algorithms.Workload
+	// WorkloadSpec names one run of a registered workload.
+	WorkloadSpec = algorithms.Spec
+	// WorkloadOutcome is what a run reports, on either plane.
+	WorkloadOutcome = algorithms.Outcome
+)
+
+var (
+	Workloads          = algorithms.Workloads
+	RunWorkload        = algorithms.Run
+	RunWorkloadSharded = algorithms.RunSharded
 )
 
 // Homogeneity measurement (Definition 3.1). MeasureHomogeneity scans
@@ -259,8 +271,8 @@ var (
 
 // View gathering: each node's radius-r view tree by the
 // level-synchronous assembly; GatheredTreesAll keeps every level
-// 0..rmax from the one pass. Gather gathers by message passing on the
-// engine, optionally under a fault schedule.
+// 0..rmax from the one pass. Gather gathers by message passing on a
+// caller's engine, optionally under a fault schedule.
 var (
 	GatheredTrees    = model.GatheredTrees
 	GatheredTreesAll = model.GatheredTreesAll
@@ -294,18 +306,12 @@ var (
 	RunAllExperiments    = experiments.RunAll
 )
 
-// Deadline-aware entry points: the *Ctx twins (and Gather, and
-// Engine.WithContext) poll a context.Context cooperatively — a
-// cancelled run stops at the next round barrier (sweep: the next
-// vertex batch), releases its workers and returns the wrapped context
-// error.
-var (
-	SweepMeasureAllCtx          = order.SweepMeasureAllCtx
-	ColeVishkinCtx              = algorithms.ColeVishkinMISCtx
-	ColeVishkinFaultyCtx        = algorithms.ColeVishkinMISFaultyCtx
-	RandomizedMatchingCtx       = algorithms.RandomizedMatchingCtx
-	RandomizedMatchingFaultyCtx = algorithms.RandomizedMatchingFaultyCtx
-)
+// Deadline-aware entry points: SweepMeasureAllCtx and the workload
+// runner (through Engine.WithContext) poll a context.Context
+// cooperatively — a cancelled run stops at the next round barrier
+// (sweep: the next vertex batch), releases its workers and returns the
+// wrapped context error.
+var SweepMeasureAllCtx = order.SweepMeasureAllCtx
 
 // The service layer (DESIGN.md §10): NewServer builds the handler
 // cmd/localapproxd serves — admission control over the worker budget,
