@@ -153,10 +153,8 @@ func runWorkload(a *attempt, spec Spec, algo string, total int) (desc string, n 
 		}
 		rs.Sched = prof.New(h, spec.seed())
 	}
-	w, ok := algorithms.LookupWorkload(algo)
-	if !ok {
-		return "", 0, nil, nil, fmt.Errorf("job: unknown run workload %q", algo)
-	}
+	// Validate has checked the name; Run reports an unknown one.
+	w, _ := algorithms.LookupWorkload(algo)
 	e, err := a.engine(h, total, w.Checkpointed)
 	if err != nil {
 		return "", 0, nil, nil, err
