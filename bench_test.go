@@ -552,6 +552,56 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 	}
 }
 
+// --- construction layer: host parse, port digraph, ids, engine ---
+//
+// What a flat scale run pays before its first round. CI-gated against
+// BENCH_ci.json in ns/op and allocs/op.
+
+func benchHostParse(b *testing.B, desc string) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := host.Parse(desc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHostParseTorus(b *testing.B) { benchHostParse(b, "torus:300x300") }
+
+func BenchmarkHostParseRandomRegular(b *testing.B) {
+	// One fixed graph seed: the pairing model's restart count, and so
+	// the cost, varies widely between seeds.
+	benchHostParse(b, "random-regular:d=3,n=20000,seed=1")
+}
+
+func BenchmarkFromPorts(b *testing.B) {
+	g := host.MustParse("torus:300x300").G
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digraph.FromPorts(g, nil)
+	}
+}
+
+func BenchmarkIDDraw(b *testing.B) {
+	// The flat plane's id draw, rng.Perm(8n)[:n] in n ints.
+	const n = 100000
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		model.PermIDs(rng, n, 8*n)
+	}
+}
+
+func BenchmarkNewEngine(b *testing.B) {
+	h := model.HostFromGraph(host.MustParse("torus:300x300").G)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.NewEngine(h)
+	}
+}
+
 func BenchmarkHomogeneitySample(b *testing.B) {
 	c, err := homog.Search(1, 1, homog.SearchOptions{Seed: 42})
 	if err != nil {

@@ -38,7 +38,7 @@ func main() {
 func run(what string, n, r, l, m int) error {
 	switch what {
 	case "view":
-		d := directedCycle(n)
+		d := digraph.DirectedCycle(n)
 		t := view.Build[int](d, 0, r)
 		vd, walks, _ := t.ToDigraph(1)
 		fmt.Print(vd.DOT(fmt.Sprintf("view_C%d_r%d", n, r), func(v int) string {
@@ -57,7 +57,7 @@ func run(what string, n, r, l, m int) error {
 			return view.Key(walks[v])
 		}))
 	case "cyclic":
-		d := directedCycle(n)
+		d := digraph.DirectedCycle(n)
 		h, _, err := lift.ConnectedCyclic(d, l, 0, 1, 0)
 		if err != nil {
 			return err
@@ -70,7 +70,7 @@ func run(what string, n, r, l, m int) error {
 		if err != nil {
 			return err
 		}
-		lr, err := core.BuildHomogeneousLift(c, directedCycle(n), m, 1<<15)
+		lr, err := core.BuildHomogeneousLift(c, digraph.DirectedCycle(n), m, 1<<15)
 		if err != nil {
 			return err
 		}
@@ -82,12 +82,4 @@ func run(what string, n, r, l, m int) error {
 		return fmt.Errorf("unknown object %q", what)
 	}
 	return nil
-}
-
-func directedCycle(n int) *digraph.Digraph {
-	b := digraph.NewBuilder(n, 1)
-	for i := 0; i < n; i++ {
-		b.MustAddArc(i, (i+1)%n, 0)
-	}
-	return b.Build()
 }

@@ -468,7 +468,7 @@ func run(algName, graphName, hostDesc string, n, d int, seed int64, rmax int) er
 	if err != nil {
 		return err
 	}
-	ids := rng.Perm(8 * h.G.N())[:h.G.N()]
+	ids := model.PermIDs(rng, h.G.N(), 8*h.G.N())
 	rank := order.Identity(h.G.N())
 
 	var (
@@ -560,11 +560,7 @@ func buildHost(name string, n, d int, rng *rand.Rand) (*model.Host, error) {
 		}
 		return model.NewHost(digraph.FromPorts(g, orient).D)
 	case "dcycle":
-		b := digraph.NewBuilder(n, 1)
-		for i := 0; i < n; i++ {
-			b.MustAddArc(i, (i+1)%n, 0)
-		}
-		return model.NewHost(b.Build())
+		return model.NewHost(digraph.DirectedCycle(n))
 	case "petersen":
 		return model.HostFromGraph(graph.Petersen()), nil
 	case "torus":

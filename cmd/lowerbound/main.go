@@ -70,11 +70,7 @@ func run(problemName, graphName string, n, a, b, r, budget int) error {
 func buildHost(name string, n, a, b int) (*model.Host, error) {
 	switch name {
 	case "dcycle":
-		bl := digraph.NewBuilder(n, 1)
-		for i := 0; i < n; i++ {
-			bl.MustAddArc(i, (i+1)%n, 0)
-		}
-		return model.NewHost(bl.Build())
+		return model.NewHost(digraph.DirectedCycle(n))
 	case "circulant":
 		bl := digraph.NewBuilder(n, 2)
 		for v := 0; v < n; v++ {

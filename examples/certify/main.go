@@ -83,11 +83,7 @@ func paperBound(name string) string {
 }
 
 func directedCycle(n int) *model.Host {
-	b := digraph.NewBuilder(n, 1)
-	for i := 0; i < n; i++ {
-		b.MustAddArc(i, (i+1)%n, 0)
-	}
-	h, err := model.NewHost(b.Build())
+	h, err := model.NewHost(digraph.DirectedCycle(n))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 		}
 
 		// (3) ID greedy with random identifiers.
-		ids := rng.Perm(10 * n)[:n]
+		ids := model.PermIDs(rng, n, 10*n)
 		solRnd, err := model.RunID(h, ids, algorithms.IDGreedyEDS(), model.EdgeKind)
 		if err != nil {
 			log.Fatal(err)
@@ -89,11 +89,7 @@ func main() {
 }
 
 func directedCycle(n int) *model.Host {
-	b := digraph.NewBuilder(n, 1)
-	for i := 0; i < n; i++ {
-		b.MustAddArc(i, (i+1)%n, 0)
-	}
-	h, err := model.NewHost(b.Build())
+	h, err := model.NewHost(digraph.DirectedCycle(n))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("%8s  %18s  %12s\n", "n", "CV rounds (ID)", "MIS valid?")
 	for _, n := range []int{8, 32, 128, 512, 2048} {
 		h := directedCycle(n)
-		ids := rng.Perm(8 * n)[:n]
+		ids := model.PermIDs(rng, n, 8*n)
 		res, err := algorithms.ColeVishkinMIS(h, ids)
 		if err != nil {
 			log.Fatal(err)
@@ -64,11 +64,7 @@ func main() {
 }
 
 func directedCycle(n int) *model.Host {
-	b := digraph.NewBuilder(n, 1)
-	for i := 0; i < n; i++ {
-		b.MustAddArc(i, (i+1)%n, 0)
-	}
-	h, err := model.NewHost(b.Build())
+	h, err := model.NewHost(digraph.DirectedCycle(n))
 	if err != nil {
 		log.Fatal(err)
 	}

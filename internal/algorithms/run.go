@@ -119,14 +119,15 @@ type Outcome struct {
 
 // Run runs a workload on the flat plane: e is the caller's engine for
 // h, armed as the caller needs (checkpoints, resume), and ctx is armed
-// on it here. Identifiers are rng.Perm(8n)[:n] from the caller's rng,
-// drawn first, and matching draws its proposals from the same rng.
+// on it here. Identifiers are model.PermIDs(rng, n, 8n), exactly
+// rng.Perm(8n)[:n], from the caller's rng, drawn first, and matching
+// draws its proposals from the same rng.
 func Run(ctx context.Context, e *model.Engine, h *model.Host, rng *rand.Rand, spec Spec) (*Outcome, error) {
 	e.WithContext(ctx)
 	n := h.G.N()
 	switch spec.Algo {
 	case "cole-vishkin":
-		res, err := coleVishkin(model.TypedOn[uint64](e), h, rng.Perm(8 * n)[:n], spec.Sched)
+		res, err := coleVishkin(model.TypedOn[uint64](e), h, model.PermIDs(rng, n, 8*n), spec.Sched)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +152,7 @@ func Run(ctx context.Context, e *model.Engine, h *model.Host, rng *rand.Rand, sp
 		if horizon < 1 {
 			horizon = n
 		}
-		res, err := floodMax(model.TypedOn[uint64](e), h, rng.Perm(8 * n)[:n], horizon, spec.Sched)
+		res, err := floodMax(model.TypedOn[uint64](e), h, model.PermIDs(rng, n, 8*n), horizon, spec.Sched)
 		if err != nil {
 			return nil, err
 		}

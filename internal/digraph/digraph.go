@@ -9,8 +9,9 @@
 package digraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -122,8 +123,16 @@ func (b *Builder) AddArc(u, v, label int) error {
 // searchLabel returns the insertion position of label in the
 // label-sorted arc slice and whether the label is already present.
 func searchLabel(arcs []Arc, label int) (int, bool) {
-	i := sort.Search(len(arcs), func(i int) bool { return arcs[i].Label >= label })
-	return i, i < len(arcs) && arcs[i].Label == label
+	lo, hi := 0, len(arcs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if arcs[h].Label < label {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(arcs) && arcs[lo].Label == label
 }
 
 func insertArc(arcs []Arc, i int, a Arc) []Arc {
@@ -152,6 +161,117 @@ func (b *Builder) Build() *Digraph {
 	inOff, in := flattenArcs(b.in)
 	b.out, b.in = nil, nil
 	return &Digraph{n: b.n, alphabet: b.alphabet, outOff: outOff, inOff: inOff, out: out, in: in}
+}
+
+// fromCSR finishes a digraph assembled straight into CSR form, the
+// wholesale path for generators (DirectedCycle, FromPorts) that know
+// their arcs up front. outOff/inOff have n+1 entries and
+// out[outOff[v]:outOff[v+1]] (in[inOff[v]:inOff[v+1]]) lists the out-
+// (in-)arcs of v in any order. Each row is sorted by label in place
+// and the result is checked for everything AddArc enforces: endpoints
+// and labels in range, no self-loops, distinct labels per row, and
+// every out-arc (u -> v, l) mirrored by the in-arc (v <- u, l), with
+// as many in-arcs as out-arcs so the mirroring is a bijection. The
+// slices are owned by the digraph afterwards (the two offset arrays
+// may be one slice).
+func fromCSR(n, alphabet int, outOff []int32, out []Arc, inOff []int32, in []Arc) (*Digraph, error) {
+	if n < 0 || alphabet < 0 {
+		return nil, fmt.Errorf("digraph: negative size")
+	}
+	if int64(n) > graph.FlatCapacity {
+		return nil, capacityErr("vertex count", int64(n))
+	}
+	if int64(len(out)) > graph.FlatCapacity {
+		return nil, capacityErr("arc count", int64(len(out)))
+	}
+	if len(out) != len(in) {
+		return nil, fmt.Errorf("digraph: %d out-arcs but %d in-arcs", len(out), len(in))
+	}
+	if err := sortRows(n, alphabet, outOff, out, "out"); err != nil {
+		return nil, err
+	}
+	if err := sortRows(n, alphabet, inOff, in, "in"); err != nil {
+		return nil, err
+	}
+	d := &Digraph{n: n, alphabet: alphabet, outOff: outOff, inOff: inOff, out: out, in: in}
+	for u := 0; u < n; u++ {
+		for _, a := range d.Out(u) {
+			if b, ok := d.InArc(a.To, a.Label); !ok || b.To != u {
+				return nil, fmt.Errorf("digraph: arc (%d,%d) label %d has no mirrored in-arc", u, a.To, a.Label)
+			}
+		}
+	}
+	return d, nil
+}
+
+// sortRows label-sorts each CSR row of one direction and validates
+// the offsets, endpoint and label ranges, self-loops and per-row label
+// distinctness.
+func sortRows(n, alphabet int, off []int32, arcs []Arc, dir string) error {
+	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(arcs) {
+		return fmt.Errorf("digraph: malformed %s-arc offsets", dir)
+	}
+	for v := 0; v < n; v++ {
+		if off[v] > off[v+1] {
+			return fmt.Errorf("digraph: %s-arc offsets not monotone at %d", dir, v)
+		}
+		row := arcs[off[v]:off[v+1]]
+		sortByLabel(row)
+		for i, a := range row {
+			if a.To < 0 || a.To >= n {
+				return fmt.Errorf("digraph: arc (%d,%d) out of range [0,%d)", v, a.To, n)
+			}
+			if a.To == v {
+				return fmt.Errorf("digraph: self-loop at %d", v)
+			}
+			if a.Label < 0 || a.Label >= alphabet {
+				return fmt.Errorf("digraph: label %d out of range [0,%d)", a.Label, alphabet)
+			}
+			if i > 0 && row[i-1].Label == a.Label {
+				return fmt.Errorf("digraph: node %d already has %s-label %d", v, dir, a.Label)
+			}
+		}
+	}
+	return nil
+}
+
+// sortByLabel sorts one arc row by label: insertion sort for the short
+// rows of bounded-degree hosts, the library sort past that.
+func sortByLabel(row []Arc) {
+	if len(row) > 12 {
+		slices.SortFunc(row, func(a, b Arc) int { return cmp.Compare(a.Label, b.Label) })
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		for j := i; j > 0 && row[j].Label < row[j-1].Label; j-- {
+			row[j], row[j-1] = row[j-1], row[j]
+		}
+	}
+}
+
+// DirectedCycle returns the consistently oriented n-cycle, every arc
+// i -> i+1 (mod n) labelled 0, built straight into CSR form. It panics
+// on negative n and on n == 1 (a self-loop), as the Builder would.
+func DirectedCycle(n int) *Digraph {
+	if n < 0 {
+		panic("digraph: negative size")
+	}
+	if int64(n) > graph.FlatCapacity {
+		panic(capacityErr("vertex count", int64(n)))
+	}
+	off := make([]int32, n+1)
+	out := make([]Arc, n)
+	in := make([]Arc, n)
+	for i := 0; i < n; i++ {
+		off[i+1] = int32(i + 1)
+		out[i] = Arc{To: (i + 1) % n}
+		in[i] = Arc{To: (i + n - 1) % n}
+	}
+	d, err := fromCSR(n, 1, off, out, off, in)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // capacityErr mirrors graph's flat-capacity diagnostic for the

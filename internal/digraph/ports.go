@@ -2,6 +2,7 @@ package digraph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -33,34 +34,117 @@ func OrientBySmaller(graph.Edge) bool { return true }
 // neighbour of u is Neighbors(u)[i-1]) and the given orientation, and
 // returns the resulting L-digraph with a compact label alphabet.
 // If orient is nil, OrientBySmaller is used.
+//
+// Compact labels number the port pairs in order of first appearance
+// over g.Edges(). The out- and in-arc CSR arrays are filled in two
+// counting passes over the edges and finished by fromCSR, which
+// label-sorts every row and re-checks the proper labelling.
 func FromPorts(g *graph.Graph, orient Orientation) *Ported {
 	if orient == nil {
 		orient = OrientBySmaller
 	}
-	type arcRec struct {
-		u, v int
-		pl   PortLabel
-	}
-	arcs := make([]arcRec, 0, g.M())
-	labelIdx := make(map[PortLabel]int)
-	var labels []PortLabel
-	for _, e := range g.Edges() {
-		u, v := e.U, e.V
-		if !orient(e) {
-			u, v = v, u
+	n := g.N()
+	pl := newPortLabeler(g.MaxDegree(), g.M())
+	// code[k] is edge k's compact label times two, plus one when the
+	// edge runs from its larger endpoint to its smaller one.
+	code := make([]int32, 0, g.M())
+	outOff := make([]int32, n+1)
+	inOff := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		for i, w := range g.Neighbors(u) {
+			v := int(w)
+			if v <= u {
+				continue
+			}
+			// v's port at u is i+1. u's port at v is one past the count
+			// of v's neighbours below u: v's row is sorted and those
+			// neighbours are exactly the edges of v counted so far.
+			iu, iv := i+1, int(outOff[v+1]+inOff[v+1])+1
+			flip := int32(0)
+			if orient(graph.Edge{U: u, V: v}) {
+				outOff[u+1]++
+				inOff[v+1]++
+			} else {
+				outOff[v+1]++
+				inOff[u+1]++
+				iu, iv, flip = iv, iu, 1
+			}
+			code = append(code, pl.label(iu, iv)<<1|flip)
 		}
-		pl := PortLabel{I: g.NeighborIndex(u, v) + 1, J: g.NeighborIndex(v, u) + 1}
-		if _, ok := labelIdx[pl]; !ok {
-			labelIdx[pl] = len(labels)
-			labels = append(labels, pl)
+	}
+	for v := 0; v < n; v++ {
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
+	}
+	out := make([]Arc, len(code))
+	in := make([]Arc, len(code))
+	outAt := slices.Clone(outOff[:n])
+	inAt := slices.Clone(inOff[:n])
+	k := 0
+	for u := 0; u < n; u++ {
+		for _, w := range g.Neighbors(u) {
+			v := int(w)
+			if v <= u {
+				continue
+			}
+			c := code[k]
+			k++
+			a, b := u, v
+			if c&1 == 1 {
+				a, b = v, u
+			}
+			l := int(c >> 1)
+			out[outAt[a]] = Arc{To: b, Label: l}
+			outAt[a]++
+			in[inAt[b]] = Arc{To: a, Label: l}
+			inAt[b]++
 		}
-		arcs = append(arcs, arcRec{u: u, v: v, pl: pl})
 	}
-	b := NewBuilder(g.N(), len(labels))
-	for _, a := range arcs {
-		b.MustAddArc(a.u, a.v, labelIdx[a.pl])
+	d, err := fromCSR(n, len(pl.labels), outOff, out, inOff, in)
+	if err != nil {
+		panic(err)
 	}
-	return &Ported{D: b.Build(), Labels: labels, Host: g}
+	return &Ported{D: d, Labels: pl.labels, Host: g}
+}
+
+// portLabeler numbers port pairs in order of first appearance. Pairs
+// (i, j) with 1 <= i, j <= maxDeg index a dense table when it is small
+// next to the edge count, as on every bounded-degree host; a map
+// serves hosts like large stars, whose table would be quadratic.
+type portLabeler struct {
+	maxDeg int
+	dense  []int32 // (i-1)*maxDeg + (j-1) -> label+1; 0 means unseen
+	sparse map[PortLabel]int32
+	labels []PortLabel
+}
+
+func newPortLabeler(maxDeg, edges int) *portLabeler {
+	pl := &portLabeler{maxDeg: maxDeg}
+	if cells := int64(maxDeg) * int64(maxDeg); cells <= max(4*int64(edges), 1<<12) {
+		pl.dense = make([]int32, cells)
+	} else {
+		pl.sparse = make(map[PortLabel]int32)
+	}
+	return pl
+}
+
+func (pl *portLabeler) label(i, j int) int32 {
+	key := PortLabel{I: i, J: j}
+	if pl.dense != nil {
+		cell := &pl.dense[(i-1)*pl.maxDeg+j-1]
+		if *cell == 0 {
+			pl.labels = append(pl.labels, key)
+			*cell = int32(len(pl.labels))
+		}
+		return *cell - 1
+	}
+	l, ok := pl.sparse[key]
+	if !ok {
+		l = int32(len(pl.labels))
+		pl.sparse[key] = l
+		pl.labels = append(pl.labels, key)
+	}
+	return l
 }
 
 // EulerianOrientation orients the edges of a graph whose vertices all

@@ -64,7 +64,7 @@ func EDSLowerBound() (*Table, error) {
 			return nil, err
 		}
 		// Random identifiers: the greedy ID algorithm coordinates.
-		randIDs := rng.Perm(10 * n)[:n]
+		randIDs := model.PermIDs(rng, n, 10*n)
 		solRand, err := model.RunID(h, randIDs, algorithms.IDGreedyEDS(), model.EdgeKind)
 		if err != nil {
 			return nil, err

@@ -63,11 +63,7 @@ func Models() (*Table, error) {
 
 // directedCycle builds the consistently oriented n-cycle host.
 func directedCycle(n int) (*model.Host, error) {
-	b := digraph.NewBuilder(n, 1)
-	for i := 0; i < n; i++ {
-		b.MustAddArc(i, (i+1)%n, 0)
-	}
-	return model.NewHost(b.Build())
+	return model.NewHost(digraph.DirectedCycle(n))
 }
 
 func yn(b bool) string {

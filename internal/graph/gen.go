@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Cycle returns the n-cycle, n >= 3.
@@ -10,11 +11,40 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: Cycle(%d): need n >= 3", n))
 	}
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.MustAddEdge(i, (i+1)%n)
+	off, nbr := regularCSR(n, 2)
+	for v := 0; v < n; v++ {
+		nbr[2*v] = int32((v + n - 1) % n)
+		nbr[2*v+1] = int32((v + 1) % n)
 	}
-	return b.Build()
+	return mustCSR(off, nbr)
+}
+
+// regularCSR allocates the CSR arrays of a d-regular graph on n
+// vertices, offsets filled (row v is nbr[v*d:(v+1)*d]), for the
+// generators that write their rows directly and finish through
+// FromCSR. It panics past the flat capacity, as NewBuilder does.
+func regularCSR(n, d int) ([]int32, []int32) {
+	if int64(n) > FlatCapacity {
+		panic(capacityErr("vertex count", int64(n)))
+	}
+	if arcs := int64(n) * int64(d); arcs > FlatCapacity {
+		panic(capacityErr("arc count", arcs))
+	}
+	off := make([]int32, n+1)
+	for v := range off {
+		off[v] = int32(v * d)
+	}
+	return off, make([]int32, n*d)
+}
+
+// mustCSR is FromCSR for generators whose rows are valid by
+// construction: an error is a generator bug.
+func mustCSR(off, nbr []int32) *Graph {
+	g, err := FromCSR(off, nbr)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // Path returns the path on n vertices (n-1 edges).
@@ -148,30 +178,29 @@ func Torus(sides ...int) *Graph {
 		}
 		n *= s
 	}
-	b := NewBuilder(n)
-	coord := make([]int, len(sides))
-	for v := 0; v < n; v++ {
-		// Decode v into coordinates.
-		x := v
-		for d := len(sides) - 1; d >= 0; d-- {
-			coord[d] = x % sides[d]
-			x /= sides[d]
-		}
-		// +1 step in every dimension.
-		for d := range sides {
-			old := coord[d]
-			coord[d] = (old + 1) % sides[d]
-			u := 0
-			for e := 0; e < len(sides); e++ {
-				u = u*sides[e] + coord[e]
+	k := len(sides)
+	off, nbr := regularCSR(n, 2*k)
+	// The ±1 steps in dimension d move v by ±stride, wrapping within
+	// the block of side*stride vertices that shares the outer
+	// coordinates.
+	stride := 1
+	for d := k - 1; d >= 0; d-- {
+		s := sides[d]
+		for v := 0; v < n; v++ {
+			c := v / stride % s
+			up, down := v+stride, v-stride
+			if c == s-1 {
+				up -= s * stride
 			}
-			coord[d] = old
-			if !b.HasEdge(v, u) {
-				b.MustAddEdge(v, u)
+			if c == 0 {
+				down += s * stride
 			}
+			nbr[2*k*v+2*d] = int32(up)
+			nbr[2*k*v+2*d+1] = int32(down)
 		}
+		stride *= s
 	}
-	return b.Build()
+	return mustCSR(off, nbr)
 }
 
 // TorusCoord returns the vertex index of the given coordinates in
@@ -248,40 +277,59 @@ func CompleteBinaryTree(levels int) *Graph {
 }
 
 // RandomRegular returns a random d-regular graph on n vertices generated
-// by the pairing model with restarts (n*d must be even, d < n). The
+// by the pairing model with restarts (n*d must be even, 0 <= d < n). The
 // result is simple; generation retries until a simple matching of
-// half-edge stubs is found.
+// half-edge stubs is found. It panics where TryRandomRegular errs.
 func RandomRegular(n, d int, rng *rand.Rand) *Graph {
+	g, err := TryRandomRegular(n, d, rng)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TryRandomRegular is RandomRegular for parameters from outside: bad
+// parameters and a pairing model that needs more than 10000 restarts
+// (large d, where a simple pairing is vanishingly rare) are errors.
+//
+// Each attempt fills one flat stride-d row array (row v is
+// nbr[v*d:v*d+deg[v]]) that is reused across restarts; a loop or a
+// repeated edge rejects the attempt at the first offending stub pair.
+func TryRandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 	if n*d%2 != 0 {
-		panic(fmt.Sprintf("graph: RandomRegular(%d,%d): n*d must be even", n, d))
+		return nil, fmt.Errorf("graph: RandomRegular(%d,%d): n*d must be even", n, d)
 	}
-	if d >= n {
-		panic(fmt.Sprintf("graph: RandomRegular(%d,%d): need d < n", n, d))
+	if d < 0 || d >= n {
+		return nil, fmt.Errorf("graph: RandomRegular(%d,%d): need 0 <= d < n", n, d)
 	}
-	stubs := make([]int, 0, n*d)
+	off, nbr := regularCSR(n, d)
+	stubs := make([]int32, n*d)
+	deg := make([]int32, n)
 	for attempt := 0; ; attempt++ {
 		if attempt > 10000 {
-			panic("graph: RandomRegular: too many restarts")
+			return nil, fmt.Errorf("graph: RandomRegular(%d,%d): too many restarts", n, d)
 		}
-		stubs = stubs[:0]
 		for v := 0; v < n; v++ {
 			for i := 0; i < d; i++ {
-				stubs = append(stubs, v)
+				stubs[v*d+i] = int32(v)
 			}
 		}
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		b := NewBuilder(n)
+		clear(deg)
 		ok := true
 		for i := 0; i < len(stubs); i += 2 {
 			u, v := stubs[i], stubs[i+1]
-			if u == v || b.HasEdge(u, v) {
+			if u == v || slices.Contains(nbr[int(u)*d:int(u)*d+int(deg[u])], v) {
 				ok = false
 				break
 			}
-			b.MustAddEdge(u, v)
+			nbr[int(u)*d+int(deg[u])] = v
+			deg[u]++
+			nbr[int(v)*d+int(deg[v])] = u
+			deg[v]++
 		}
 		if ok {
-			return b.Build()
+			return mustCSR(off, nbr), nil
 		}
 	}
 }

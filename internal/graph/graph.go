@@ -221,6 +221,7 @@ func FromCSR(off, nbr []int32) (*Graph, error) {
 	if int(off[n]) != len(nbr) {
 		return nil, fmt.Errorf("graph: offsets end at %d, want %d", off[n], len(nbr))
 	}
+	up := 0 // entries w of row v with w > v
 	for v := 0; v < n; v++ {
 		if off[v] > off[v+1] {
 			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
@@ -237,15 +238,21 @@ func FromCSR(off, nbr []int32) (*Graph, error) {
 			if i > 0 && row[i-1] == w {
 				return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", v, w)
 			}
+			if int(w) > v {
+				up++
+			}
 		}
 	}
-	if len(nbr)%2 != 0 {
+	if 2*up != len(nbr) {
 		return nil, fmt.Errorf("graph: adjacency is not symmetric")
 	}
+	// Rows hold no duplicates, so mapping each upward entry (v, w) to
+	// its mirror (w, v) is injective into the downward entries; with
+	// equally many of each, checking the upward half covers both.
 	g := &Graph{n: n, m: len(nbr) / 2, off: off, nbr: nbr}
 	for v := 0; v < n; v++ {
 		for _, w := range g.row(v) {
-			if !g.HasEdge(int(w), v) {
+			if int(w) > v && !g.HasEdge(int(w), v) {
 				return nil, fmt.Errorf("graph: edge {%d,%d} missing its mirror", v, w)
 			}
 		}

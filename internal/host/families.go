@@ -47,11 +47,7 @@ func init() {
 			if err := checkFlat(int64(n), 2*int64(n)); err != nil {
 				return nil, err
 			}
-			b := digraph.NewBuilder(n, 1)
-			for i := 0; i < n; i++ {
-				b.MustAddArc(i, (i+1)%n, 0)
-			}
-			d := b.Build()
+			d := digraph.DirectedCycle(n)
 			g, err := d.Underlying()
 			if err != nil {
 				return nil, err
@@ -204,7 +200,7 @@ func init() {
 			if err := checkFlat(int64(n), int64(n)*int64(d)); err != nil {
 				return nil, err
 			}
-			return graph.RandomRegular(n, d, rand.New(rand.NewSource(seed))), nil
+			return graph.TryRandomRegular(n, d, rand.New(rand.NewSource(seed)))
 		}),
 	})
 	Register(Family{

@@ -50,7 +50,12 @@ query parse, canonical key, FNV hash, lock-free probe, response write
 and ShardedRound / ShardedExchange (the sharded engine's steady-state
 round at 0 allocs/op: the torus at P=4 prices the two-phase barrier on
 local-heavy traffic, the long-shift circulant at P=8 prices the
-counting-sorted cross-shard exchange drain).
+counting-sorted cross-shard exchange drain), and the construction
+layer a flat scale run pays before its first round: HostParseTorus and
+HostParseRandomRegular (descriptor to CSR graph: the generators' direct
+CSR fill and graph.FromCSR's validation), FromPorts (the port digraph
+in two counting passes), IDDraw (model.PermIDs, the O(n)-memory
+rng.Perm(8n)[:n]) and NewEngine (plane arenas).
 """
 import json
 import re
@@ -74,6 +79,11 @@ WATCHED = [
     "BenchmarkServeCachedRequest",
     "BenchmarkShardedRound",
     "BenchmarkShardedExchange",
+    "BenchmarkHostParseTorus",
+    "BenchmarkHostParseRandomRegular",
+    "BenchmarkFromPorts",
+    "BenchmarkIDDraw",
+    "BenchmarkNewEngine",
 ]
 
 LINE = re.compile(
