@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/graph"
 )
@@ -123,16 +124,8 @@ func (b *Builder) AddArc(u, v, label int) error {
 // searchLabel returns the insertion position of label in the
 // label-sorted arc slice and whether the label is already present.
 func searchLabel(arcs []Arc, label int) (int, bool) {
-	lo, hi := 0, len(arcs)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if arcs[h].Label < label {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	return lo, lo < len(arcs) && arcs[lo].Label == label
+	i := sort.Search(len(arcs), func(i int) bool { return arcs[i].Label >= label })
+	return i, i < len(arcs) && arcs[i].Label == label
 }
 
 func insertArc(arcs []Arc, i int, a Arc) []Arc {
@@ -216,7 +209,7 @@ func sortRows(n, alphabet int, off []int32, arcs []Arc, dir string) error {
 			return fmt.Errorf("digraph: %s-arc offsets not monotone at %d", dir, v)
 		}
 		row := arcs[off[v]:off[v+1]]
-		sortByLabel(row)
+		slices.SortFunc(row, func(a, b Arc) int { return cmp.Compare(a.Label, b.Label) })
 		for i, a := range row {
 			if a.To < 0 || a.To >= n {
 				return fmt.Errorf("digraph: arc (%d,%d) out of range [0,%d)", v, a.To, n)
@@ -233,20 +226,6 @@ func sortRows(n, alphabet int, off []int32, arcs []Arc, dir string) error {
 		}
 	}
 	return nil
-}
-
-// sortByLabel sorts one arc row by label: insertion sort for the short
-// rows of bounded-degree hosts, the library sort past that.
-func sortByLabel(row []Arc) {
-	if len(row) > 12 {
-		slices.SortFunc(row, func(a, b Arc) int { return cmp.Compare(a.Label, b.Label) })
-		return
-	}
-	for i := 1; i < len(row); i++ {
-		for j := i; j > 0 && row[j].Label < row[j-1].Label; j-- {
-			row[j], row[j-1] = row[j-1], row[j]
-		}
-	}
 }
 
 // DirectedCycle returns the consistently oriented n-cycle, every arc
