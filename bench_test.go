@@ -313,7 +313,7 @@ func BenchmarkRunRoundsFaulty(b *testing.B) {
 // message traffic as benchPulseRoundAlgo with the boxing gone.
 func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 { return uint64(rounds) },
+		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(rounds) },
 		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
 			if *state == 0 {
 				return true
@@ -331,13 +331,13 @@ func benchPulseWordAlgo(rounds int) model.WordAlgo {
 var benchTorusWordEngine struct {
 	sync.Once
 	h *model.Host
-	e *model.WordEngine
+	e *model.Engine
 }
 
-func torusWordEngine() (*model.Host, *model.WordEngine) {
+func torusWordEngine() (*model.Host, *model.Engine) {
 	benchTorusWordEngine.Do(func() {
 		benchTorusWordEngine.h = model.HostFromGraph(graph.Torus(64, 64))
-		benchTorusWordEngine.e = model.NewWordEngine(benchTorusWordEngine.h)
+		benchTorusWordEngine.e = model.NewEngine(benchTorusWordEngine.h)
 	})
 	return benchTorusWordEngine.h, benchTorusWordEngine.e
 }
@@ -431,34 +431,17 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}
 }
 
-// benchPulseShardedAlgo is benchPulseWordAlgo in the sharded form:
-// the same countdown broadcast through the shared WordSender surface.
-func benchPulseShardedAlgo(rounds int) model.ShardedWordAlgo {
-	return model.ShardedWordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(rounds) },
-		Step: func(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-			if *state == 0 {
-				return true
-			}
-			*state--
-			out.BroadcastWord(*state)
-			return false
-		},
-		Out: func(*uint64) model.Output { return model.Output{} },
-	}
-}
-
 // benchShardedEngines caches the sharded engines across calibration
 // calls: the 4096-node torus at P=4 (local-heavy traffic) and a
 // 4096-node shift-regular circulant at P=8 whose seeded long-range
 // shifts make most arcs cross shard boundaries (exchange-heavy).
 var benchShardedEngines struct {
 	sync.Once
-	torus *model.ShardedEngine
-	shift *model.ShardedEngine
+	torus *model.Engine
+	shift *model.Engine
 }
 
-func shardedBenchEngines(b *testing.B) (*model.ShardedEngine, *model.ShardedEngine) {
+func shardedBenchEngines(b *testing.B) (*model.Engine, *model.Engine) {
 	benchShardedEngines.Do(func() {
 		t, err := model.NewShardedEngine(model.SourceOf(model.HostFromGraph(graph.Torus(64, 64))), 4)
 		if err != nil {
@@ -478,7 +461,7 @@ func shardedBenchEngines(b *testing.B) (*model.ShardedEngine, *model.ShardedEngi
 }
 
 func BenchmarkShardedRound(b *testing.B) {
-	// BenchmarkRunRoundsTyped through the sharded engine: the same
+	// BenchmarkRunRoundsTyped at P=4 shards: the same
 	// 4096-node torus workload at P=4, parallelism 8. Workers, arenas
 	// and the exchange staging are per-run persistent, so after the
 	// warm-up a steady-state round is two barrier phases and zero
@@ -487,12 +470,12 @@ func BenchmarkShardedRound(b *testing.B) {
 	// overhead on local-heavy traffic, recorded in BENCH_pr10.json.
 	defer par.Set(par.Set(8))
 	se, _ := shardedBenchEngines(b)
-	if _, _, err := se.Run(nil, benchPulseShardedAlgo(4), 8, nil); err != nil {
+	if _, _, err := se.Run(nil, benchPulseWordAlgo(4), 8, nil); err != nil {
 		b.Fatal(err) // warm-up: arenas, exchange staging, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2, nil); err != nil {
+	if _, _, err := se.Run(nil, benchPulseWordAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -505,12 +488,12 @@ func BenchmarkShardedExchange(b *testing.B) {
 	// exchange drain per round, also at 0 allocs/op steady state.
 	defer par.Set(par.Set(8))
 	_, se := shardedBenchEngines(b)
-	if _, _, err := se.Run(nil, benchPulseShardedAlgo(4), 8, nil); err != nil {
+	if _, _, err := se.Run(nil, benchPulseWordAlgo(4), 8, nil); err != nil {
 		b.Fatal(err) // warm-up: arenas, exchange staging, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2, nil); err != nil {
+	if _, _, err := se.Run(nil, benchPulseWordAlgo(b.N), b.N+2, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -531,7 +514,7 @@ func BenchmarkRunRoundsReference(b *testing.B) {
 // benchMillionWordEngine caches the 10^6-node cycle engine.
 var benchMillionWordEngine struct {
 	sync.Once
-	e *model.WordEngine
+	e *model.Engine
 }
 
 func BenchmarkEngineMillionCycleTyped(b *testing.B) {
@@ -540,7 +523,7 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 	// operational layer. CI-gated against BENCH_ci.json.
 	m := &benchMillionWordEngine
 	m.Do(func() {
-		m.e = model.NewWordEngine(model.HostFromGraph(graph.Cycle(1_000_000)))
+		m.e = model.NewEngine(model.HostFromGraph(graph.Cycle(1_000_000)))
 	})
 	if _, _, _, err := m.e.RunStates(nil, benchPulseWordAlgo(2), 4, nil); err != nil {
 		b.Fatal(err)

@@ -66,10 +66,10 @@
 // long-horizon workload built for this: each round is cheap, there are
 // many of them, and convergence is checkable at any prefix.
 //
-// -shards P runs cole-vishkin or matching on the sharded engine
-// (model.ShardedEngine, DESIGN.md §12): the host is partitioned into P
+// -shards P runs cole-vishkin or matching on the engine with P shards
+// (model.NewShardedEngine, DESIGN.md §7): the host is partitioned into P
 // contiguous shards, each with its own CSR slice, word-lane arenas and
-// workers, and cross-shard arcs drain through a compact exchange buffer
+// worklist, and cross-shard arcs drain through a compact exchange buffer
 // at the round barrier. Implicit shard-capable families (cycle, dcycle,
 // torus, shift-regular) generate their topology shard-locally, so
 // descriptors past the flat int32 capacity run in bounded resident
@@ -80,10 +80,12 @@
 //	localsim -algo cole-vishkin -n 1000000 -shards 4 -faults lossy:p=0.01
 //
 // P above n runs n shards, and the shards: line reports the count in
-// use; P above model.MaxShards is an error. P=1 sharded output is
-// byte-identical to the flat engine; fault coordinates stay global, so
-// faulty sharded runs degrade identically too (they need a
-// materialisable host for the schedule constructor).
+// use; P above model.MaxShards is an error. The -shards path draws ids
+// with model.SeededIDs and matching proposals from the source rows, so
+// its answers are the same at every P, 1 included; fault and snapshot
+// coordinates are global, so faulty runs degrade identically at every
+// P (they need a materialisable host for the schedule constructor) and
+// -checkpoint/-resume work with -shards, even across shard counts.
 package main
 
 import (
@@ -192,10 +194,8 @@ func main() {
 		if *shards < 1 {
 			exitWith(usagef("-shards %d out of range (want >= 1)", *shards))
 		}
-		if *ckptDir != "" {
-			exitWith(usagef("-checkpoint does not support -shards (the sharded plane has no snapshot codec yet)"))
-		}
-		if err := runScaleSharded(*algo, *hostDesc, *n, *seed, *shards, prof); err != nil {
+		ck := ckptSpec{dir: *ckptDir, every: *ckptEvery, resume: *resume}
+		if err := runScaleSharded(*algo, *hostDesc, *n, *seed, *shards, prof, ck); err != nil {
 			exitWith(err)
 		}
 		return
@@ -233,11 +233,12 @@ type ckptSpec struct {
 	resume bool
 }
 
-// engine builds the scale-mode engine: plain when -checkpoint is
-// unset, snapshotting into the store every ck.every rounds when set,
-// and resuming from the latest valid snapshot with -resume.
-func (ck ckptSpec) engine(h *model.Host) (*model.Engine, error) {
-	e := model.NewEngine(h)
+// arm readies a scale-mode engine at any shard count: untouched when
+// -checkpoint is unset, snapshotting into the store every ck.every
+// rounds when set, and resuming from the latest valid snapshot with
+// -resume. Snapshots are in global coordinates, so a run may resume at
+// a different -shards than it was checkpointed at.
+func (ck ckptSpec) arm(e *model.Engine) (*model.Engine, error) {
 	if ck.dir == "" {
 		return e, nil
 	}
@@ -271,6 +272,15 @@ func (ck ckptSpec) engine(h *model.Host) (*model.Engine, error) {
 	return e.Resume(snap), nil
 }
 
+// supports refuses -checkpoint for workloads whose run state is not
+// the engine's state column.
+func (ck ckptSpec) supports(w algorithms.Workload) error {
+	if ck.dir != "" && !w.Checkpointed {
+		return usagef("-checkpoint does not support %s (its state lives outside the engine's state column)", w.Name)
+	}
+	return nil
+}
+
 // lookupWorkload resolves -algo in the workload registry; an unknown
 // name lists it, in the same self-repairing usage style as the host
 // registry and the fault-profile grammar.
@@ -300,8 +310,8 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 	if err != nil {
 		return err
 	}
-	if ck.dir != "" && !w.Checkpointed {
-		return usagef("-checkpoint does not support %s (its state lives outside the engine's state column)", algo)
+	if err := ck.supports(w); err != nil {
+		return err
 	}
 	if rounds != 0 && algo != "flood" {
 		return usagef("-rounds is the flood horizon; %s derives its own round count", algo)
@@ -333,7 +343,7 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 		fmt.Printf("scale mode: %s on %s (n=%d, m=%d)\n", algo, desc, n, h.G.M())
 	}
 	start := time.Now()
-	e, err := ck.engine(h)
+	e, err := ck.arm(model.NewEngine(h))
 	if err != nil {
 		return err
 	}
@@ -351,20 +361,23 @@ func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *
 }
 
 // runScaleSharded is the sharded scale mode: sharded workloads on
-// model.ShardedEngine, with the host generated shard-locally from an
+// the engine from model.NewShardedEngine, with the host generated shard-locally from an
 // implicit source when the family has one (so descriptors past the flat
 // int32 capacity — dcycle:100000000 and beyond — run in bounded resident
 // memory) and adapted from the materialised registry host otherwise.
 // Fault schedules keep global (seed, round, slot) coordinates, so a
 // sharded faulty run degrades byte-identically to the flat engine; they
 // need a materialisable host, since the profile constructor does.
-func runScaleSharded(algo, hostDesc string, n int, seed int64, shards int, prof *model.Profile) error {
+func runScaleSharded(algo, hostDesc string, n int, seed int64, shards int, prof *model.Profile, ck ckptSpec) error {
 	w, err := lookupWorkload(algo)
 	if err != nil {
 		return err
 	}
 	if !w.Sharded {
 		return usagef("-shards does not support %s (sharded workloads: %s)", algo, algorithms.ShardedWorkloads())
+	}
+	if err := ck.supports(w); err != nil {
+		return err
 	}
 	if hostDesc == "" {
 		fam := "cycle"
@@ -399,6 +412,9 @@ func runScaleSharded(algo, hostDesc string, n int, seed int64, shards int, prof 
 		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)\n", algo, hostDesc, src.N(), se.Shards())
 	}
 	start := time.Now()
+	if se, err = ck.arm(se); err != nil {
+		return err
+	}
 	out, err := algorithms.RunSharded(context.Background(), se, seed, spec)
 	if err != nil {
 		return err

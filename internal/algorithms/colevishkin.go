@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -60,33 +61,47 @@ const (
 // standard in the LOCAL model, the nodes know the identifier space
 // bound (poly(n)) and hence the reduction-step horizon S.
 //
-// Execution goes through the typed word-lane engine; the untyped
+// Execution goes through the word-lane engine; the untyped
 // RoundAlgo formulation survives as the reference the differential
 // tests pin this path against, byte for byte.
 func ColeVishkinMIS(h *model.Host, ids []int) (*ColeVishkinResult, error) {
-	return coleVishkin(model.NewWordEngine(h), h, ids, nil)
+	return coleVishkin(model.NewEngine(h), h, ids, nil)
 }
 
 // ColeVishkinMISOn is the clean ColeVishkinMIS on a caller-provided
-// engine.
-func ColeVishkinMISOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
+// engine. Perfbench only.
+func ColeVishkinMISOn(e *model.Engine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
 	return coleVishkin(e, h, ids, nil)
 }
 
-// coleVishkin is the flat-plane Cole–Vishkin core: the pipeline on a
-// caller-armed engine under sched (nil: the clean run). A clean run
+// coleVishkin is Cole–Vishkin on a materialised host: the pipeline on
+// a caller-armed engine under sched (nil: the clean run), with the
+// result extracted from the state column into a Solution. A clean run
 // must end in a proper 3-colouring whose colour-0..2 sweep is an MIS,
 // and anything else is an error. Under a schedule those guarantees
 // cannot be promised — dropped colours desynchronise the reduction
 // and crashed nodes leave their neighbourhoods uncoordinated — so the
 // run returns the degraded output with its survivor-safety counts
 // (CVSurvivorSafety) instead of failing.
-func coleVishkin(e *model.WordEngine, h *model.Host, ids []int, sched model.Schedule) (*ColeVishkinResult, error) {
-	steps, last, err := cvPlan(h, ids)
+func coleVishkin(e *model.Engine, h *model.Host, ids []int, sched model.Schedule) (*ColeVishkinResult, error) {
+	if !h.D.IsRegularDigraph(1) {
+		return nil, errCVHost
+	}
+	if len(ids) != h.G.N() {
+		return nil, fmt.Errorf("algorithms: %d ids for %d nodes", len(ids), h.G.N())
+	}
+	maxID := 0
+	for _, id := range ids {
+		if id < 0 {
+			return nil, fmt.Errorf("algorithms: negative id %d", id)
+		}
+		maxID = max(maxID, id)
+	}
+	algo, last, err := coleVishkinAlgo(maxID)
 	if err != nil {
 		return nil, err
 	}
-	col, rounds, rep, err := e.RunStates(ids, coleVishkinWordAlgo(steps, last), model.Budget(last+2, sched), sched)
+	col, rounds, rep, err := e.RunStates(ids, algo, model.Budget(last+2, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: Cole–Vishkin: %w", err)
 	}
@@ -111,6 +126,9 @@ func coleVishkin(e *model.WordEngine, h *model.Host, ids []int, sched model.Sche
 	}
 	return res, nil
 }
+
+// errCVHost rejects a host that is not a consistently oriented cycle.
+var errCVHost = errors.New("algorithms: Cole–Vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
 
 // CVSurvivorSafety checks an independent-set solution among the
 // surviving (non-crashed) nodes: violations counts surviving
@@ -146,34 +164,10 @@ func CVSurvivorSafety(h *model.Host, rep *model.FaultReport, mis *model.Solution
 	return violations, uncovered
 }
 
-// cvPlan validates a Cole–Vishkin instance and returns the reduction
-// horizon (steps) and the halting round (last).
-func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
-	if !h.D.IsRegularDigraph(1) {
-		return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
-	}
-	if len(ids) != h.G.N() {
-		return 0, 0, fmt.Errorf("algorithms: %d ids for %d nodes", len(ids), h.G.N())
-	}
-	maxID := 0
-	for _, id := range ids {
-		if id < 0 {
-			return 0, 0, fmt.Errorf("algorithms: negative id %d", id)
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if uint64(maxID) > cvColorMask {
-		return 0, 0, fmt.Errorf("algorithms: id %d exceeds the %d-bit colour lane", maxID, cvColorBits)
-	}
-	steps = cvSteps(maxID)
-	return steps, steps + 6, nil
-}
-
-// coleVishkinWordAlgo is the word-lane Cole–Vishkin pipeline, clean
-// or under a fault schedule alike. Round schedule (every
-// live node broadcasts its colour and membership every round):
+// coleVishkinAlgo is the word-lane Cole–Vishkin pipeline for ids in
+// [0, maxID], clean or under a fault schedule alike, at every shard count;
+// last is its halting round. Every live node broadcasts its colour and
+// membership every round:
 //
 //	rounds 1..steps          — CV recolour on the predecessor's colour
 //	rounds steps+1..steps+3  — shift down colour 5, then 4, then 3
@@ -190,17 +184,21 @@ func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 // round >= last so a node that was down at the scheduled halting
 // round still halts at its next up round (identical to == on clean
 // runs).
-func coleVishkinWordAlgo(steps, last int) model.WordAlgo {
-	step := coleVishkinWordStep(steps, last)
+func coleVishkinAlgo(maxID int) (algo model.WordAlgo, last int, err error) {
+	if uint64(maxID) > cvColorMask {
+		return algo, 0, fmt.Errorf("algorithms: id %d exceeds the %d-bit colour lane", maxID, cvColorBits)
+	}
+	steps := cvSteps(maxID)
+	last = steps + 6
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 { return cvInit(info) },
+		Init: func(v int64, info model.NodeInfo) uint64 { return cvInit(info) },
 		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			return step(state, round, inbox, out)
+			return cvStep(state, round, inbox, out, steps, last)
 		},
 		Out: func(state *uint64) model.Output {
 			return model.Output{Member: *state&cvMISBit != 0}
 		},
-	}
+	}, last, nil
 }
 
 // cvInit packs a node's starting state: the identifier in the colour
@@ -215,60 +213,56 @@ func cvInit(info model.NodeInfo) uint64 {
 	return w
 }
 
-// coleVishkinWordStep is the pipeline's step over the abstract send
-// surface — the one core behind both the flat WordAlgo and the
-// sharded ShardedWordAlgo, so the differential tests compare a single
-// implementation against itself across planes.
-func coleVishkinWordStep(steps, last int) func(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-	return func(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-		s := *state
-		predSlot := int32(0)
-		if s&cvPredSlot1 != 0 {
-			predSlot = 1
-		}
-		// An undelivered direction leaves the zero word: colour 0,
-		// not in the MIS — the typed image of the zero cvMsg.
-		var pred, succ uint64
-		for _, m := range inbox {
-			if m.Slot == predSlot {
-				pred = m.W
-			} else {
-				succ = m.W
-			}
-		}
-		color := s & cvColorMask
-		switch {
-		case round == 0:
-			// Nothing received yet; just broadcast below.
-		case round <= steps:
-			// Bit-parallel Cole–Vishkin reduction against the
-			// predecessor.
-			i := uint64(0)
-			if x := color ^ pred&cvColorMask; x != 0 {
-				i = uint64(bits.TrailingZeros64(x))
-			}
-			color = 2*i | color>>i&1
-		case round <= steps+3:
-			// Shift down 5 -> then 4 -> then 3.
-			target := uint64(5 - (round - steps - 1))
-			if color == target {
-				color = cvFreeColor(pred&cvColorMask, succ&cvColorMask)
-			}
-		default:
-			// MIS sweep for colour classes 0, 1, 2.
-			class := uint64(round - steps - 4)
-			if color == class && pred&cvMISBit == 0 && succ&cvMISBit == 0 {
-				s |= cvMISBit
-			}
-		}
-		s = s&^cvColorMask | color
-		*state = s
-		if round >= last {
-			return true
-		}
-		out.BroadcastWord(s &^ cvPredSlot1)
-		return false
+// cvStep is one round of the pipeline for a reduction horizon of
+// steps rounds halting at last.
+func cvStep(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox, steps, last int) bool {
+	s := *state
+	predSlot := int32(0)
+	if s&cvPredSlot1 != 0 {
+		predSlot = 1
 	}
+	// An undelivered direction leaves the zero word: colour 0,
+	// not in the MIS — the typed image of the zero cvMsg.
+	var pred, succ uint64
+	for _, m := range inbox {
+		if m.Slot == predSlot {
+			pred = m.W
+		} else {
+			succ = m.W
+		}
+	}
+	color := s & cvColorMask
+	switch {
+	case round == 0:
+		// Nothing received yet; just broadcast below.
+	case round <= steps:
+		// Bit-parallel Cole–Vishkin reduction against the
+		// predecessor.
+		i := uint64(0)
+		if x := color ^ pred&cvColorMask; x != 0 {
+			i = uint64(bits.TrailingZeros64(x))
+		}
+		color = 2*i | color>>i&1
+	case round <= steps+3:
+		// Shift down 5 -> then 4 -> then 3.
+		target := uint64(5 - (round - steps - 1))
+		if color == target {
+			color = cvFreeColor(pred&cvColorMask, succ&cvColorMask)
+		}
+	default:
+		// MIS sweep for colour classes 0, 1, 2.
+		class := uint64(round - steps - 4)
+		if color == class && pred&cvMISBit == 0 && succ&cvMISBit == 0 {
+			s |= cvMISBit
+		}
+	}
+	s = s&^cvColorMask | color
+	*state = s
+	if round >= last {
+		return true
+	}
+	out.BroadcastWord(s &^ cvPredSlot1)
+	return false
 }
 
 // CVRounds predicts the number of rounds ColeVishkinMIS uses for a

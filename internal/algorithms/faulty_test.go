@@ -16,7 +16,7 @@ import (
 func TestRandomizedMatchingFaultyClean(t *testing.T) {
 	h := model.HostFromGraph(graph.Torus(8, 8))
 	want := RandomizedMatching(h, rand.New(rand.NewSource(4)))
-	res, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(4)), nil)
+	res, err := randomizedMatching(model.NewEngine(h), h, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRandomizedMatchingFaultyDegrades(t *testing.T) {
 	clean := RandomizedMatching(h, rand.New(rand.NewSource(4)))
 	for _, profile := range []string{"lossy:p=0.3", "dup+reorder", "crash:f=10,by=1", "churn:p=0.3,window=1", "adversarial:p=0.2,f=5,by=1"} {
 		sched := model.MustParseProfile(profile).New(h, 6)
-		res, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(4)), sched)
+		res, err := randomizedMatching(model.NewEngine(h), h, rand.New(rand.NewSource(4)), sched)
 		if err != nil {
 			t.Fatalf("%v — reproducer (seed 6, profile %q)", err, profile)
 		}
@@ -53,7 +53,7 @@ func TestRandomizedMatchingFaultyDegrades(t *testing.T) {
 	}
 	// Heavy loss must actually cost edges.
 	sched := model.MustParseProfile("lossy:p=0.5").New(h, 6)
-	res, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(4)), sched)
+	res, err := randomizedMatching(model.NewEngine(h), h, rand.New(rand.NewSource(4)), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestColeVishkinFaultyCleanAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coleVishkin(model.NewWordEngine(h), h, ids, nil)
+	res, err := coleVishkin(model.NewEngine(h), h, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestColeVishkinFaultyCleanAndCrash(t *testing.T) {
 		t.Errorf("clean faulty CV rounds %d vs %d", res.Rounds, clean.Rounds)
 	}
 
-	crash, err := coleVishkin(model.NewWordEngine(h), h, ids, model.MustParseProfile("crash:f=6,by=4").New(h, 9))
+	crash, err := coleVishkin(model.NewEngine(h), h, ids, model.MustParseProfile("crash:f=6,by=4").New(h, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestColeVishkinFaultyCleanAndCrash(t *testing.T) {
 	}
 	// Heavy loss on the colour exchange must produce measurable safety
 	// degradation (that is the E17 curve).
-	lossy, err := coleVishkin(model.NewWordEngine(h), h, ids, model.MustParseProfile("lossy:p=0.3").New(h, 9))
+	lossy, err := coleVishkin(model.NewEngine(h), h, ids, model.MustParseProfile("lossy:p=0.3").New(h, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestColeVishkinFaultyRejects(t *testing.T) {
 		{"negative-id", dcycleHost(t, 8), []int{0, 1, 2, 3, 4, 5, 6, -3}, "negative id -3"},
 		{"id-overflow", dcycleHost(t, 8), []int{0, 1, 2, 3, 4, 5, 6, 1 << 62}, "exceeds the 62-bit colour lane"},
 	} {
-		if _, err := coleVishkin(model.NewWordEngine(c.h), c.h, c.ids, sched); err == nil {
+		if _, err := coleVishkin(model.NewEngine(c.h), c.h, c.ids, sched); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
@@ -168,7 +168,7 @@ func TestFaultyTwinsNonHalt(t *testing.T) {
 	n := 8
 	h := dcycleHost(t, n)
 	ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
-	_, err := coleVishkin(model.NewWordEngine(h), h, ids, stallSchedule{})
+	_, err := coleVishkin(model.NewEngine(h), h, ids, stallSchedule{})
 	if err == nil {
 		t.Fatal("stalled Cole–Vishkin halted")
 	}
@@ -178,7 +178,7 @@ func TestFaultyTwinsNonHalt(t *testing.T) {
 		}
 	}
 	th := model.HostFromGraph(graph.Torus(4, 4))
-	_, err = randomizedMatching(model.NewWordEngine(th), th, rand.New(rand.NewSource(2)), stallSchedule{})
+	_, err = randomizedMatching(model.NewEngine(th), th, rand.New(rand.NewSource(2)), stallSchedule{})
 	if err == nil {
 		t.Fatal("stalled matching halted")
 	}

@@ -13,8 +13,8 @@ import (
 // O(log* n) schedule, the horizon here is a free parameter, which is
 // what makes FloodMax the natural subject for checkpoint/resume and
 // crash-recovery drills: a run can be made arbitrarily long on any
-// host, its state is one uint64 per node (the default word codec
-// applies), and its result is a deterministic function of (host, ids,
+// host, its state is one uint64 per node (so it checkpoints as it
+// stands), and its result is a deterministic function of (host, ids,
 // rounds, profile, seed).
 
 // FloodMaxResult reports a FloodMax run.
@@ -31,13 +31,13 @@ type FloodMaxResult struct {
 	Report *model.FaultReport
 }
 
-// floodMaxWordAlgo floods the max-id word for the given horizon.
+// floodMaxAlgo floods the max-id word for the given horizon.
 // Halting is round >= rounds (not ==) so a node transiently down at
 // its halting round halts at its next up round, like the other word
 // workloads.
-func floodMaxWordAlgo(rounds int) model.WordAlgo {
+func floodMaxAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 { return uint64(info.ID) },
+		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(info.ID) },
 		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
 			for _, m := range inbox {
 				if m.W > *state {
@@ -73,10 +73,9 @@ func floodPlan(h *model.Host, ids []int, rounds int) (leader int, err error) {
 	return leader, nil
 }
 
-// FloodMaxOn runs the flood clean on a caller-provided engine, so the
-// caller can arm it with a cancellation context, a Checkpointer and a
-// resume snapshot before handing it over.
-func FloodMaxOn(e *model.WordEngine, h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
+// FloodMaxOn runs the flood clean on a caller-provided engine.
+// Perfbench only.
+func FloodMaxOn(e *model.Engine, h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
 	return floodMax(e, h, ids, rounds, nil)
 }
 
@@ -84,12 +83,12 @@ func FloodMaxOn(e *model.WordEngine, h *model.Host, ids []int, rounds int) (*Flo
 // (nil: the clean run). Crashed nodes are excluded from the
 // convergence count, and a faulty run gets the fault slack so
 // transiently down nodes can still halt.
-func floodMax(e *model.WordEngine, h *model.Host, ids []int, rounds int, sched model.Schedule) (*FloodMaxResult, error) {
+func floodMax(e *model.Engine, h *model.Host, ids []int, rounds int, sched model.Schedule) (*FloodMaxResult, error) {
 	leader, err := floodPlan(h, ids, rounds)
 	if err != nil {
 		return nil, err
 	}
-	col, executed, rep, err := e.RunStates(ids, floodMaxWordAlgo(rounds), model.Budget(rounds+2, sched), sched)
+	col, executed, rep, err := e.RunStates(ids, floodMaxAlgo(rounds), model.Budget(rounds+2, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: FloodMax: %w", err)
 	}

@@ -22,7 +22,7 @@ func TestFloodMaxConverges(t *testing.T) {
 		}
 	}
 	// Horizon >= diameter: every node learns the leader.
-	res, err := FloodMaxOn(model.NewWordEngine(h), h, ids, n)
+	res, err := floodMax(model.NewEngine(h), h, ids, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFloodMaxConverges(t *testing.T) {
 		t.Fatalf("FloodMax = leader %d converged %d (want %d, %d)", res.Leader, res.Converged, leader, n)
 	}
 	// Horizon 1: only the leader's neighbourhood knows it.
-	res, err = FloodMaxOn(model.NewWordEngine(h), h, ids, 1)
+	res, err = floodMax(model.NewEngine(h), h, ids, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,13 @@ func TestFloodMaxConverges(t *testing.T) {
 
 func TestFloodMaxValidation(t *testing.T) {
 	h := floodHost(8)
-	if _, err := FloodMaxOn(model.NewWordEngine(h), h, []int{1, 2}, 4); err == nil {
+	if _, err := floodMax(model.NewEngine(h), h, []int{1, 2}, 4, nil); err == nil {
 		t.Error("short id slice accepted")
 	}
-	if _, err := FloodMaxOn(model.NewWordEngine(h), h, []int{-1, 2, 3, 4, 5, 6, 7, 8}, 4); err == nil {
+	if _, err := floodMax(model.NewEngine(h), h, []int{-1, 2, 3, 4, 5, 6, 7, 8}, 4, nil); err == nil {
 		t.Error("negative id accepted")
 	}
-	if _, err := FloodMaxOn(model.NewWordEngine(h), h, []int{1, 2, 3, 4, 5, 6, 7, 8}, 0); err == nil {
+	if _, err := floodMax(model.NewEngine(h), h, []int{1, 2, 3, 4, 5, 6, 7, 8}, 0, nil); err == nil {
 		t.Error("zero horizon accepted")
 	}
 }
@@ -61,7 +61,7 @@ func TestFloodMaxFaultyDeterministic(t *testing.T) {
 	ids := rand.New(rand.NewSource(9)).Perm(8 * n)[:n]
 	run := func() *FloodMaxResult {
 		sched := model.MustParseProfile("crash:f=4,by=2").New(h, 17)
-		res, err := floodMax(model.NewWordEngine(h), h, ids, n, sched)
+		res, err := floodMax(model.NewEngine(h), h, ids, n, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestFloodMaxResume(t *testing.T) {
 	ids := rand.New(rand.NewSource(9)).Perm(8 * n)[:n]
 	sched := func() model.Schedule { return model.MustParseProfile("lossy:p=0.1").New(h, 23) }
 
-	control, err := floodMax(model.NewWordEngine(h), h, ids, n, sched())
+	control, err := floodMax(model.NewEngine(h), h, ids, n, sched())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFloodMaxResume(t *testing.T) {
 		}
 		return nil
 	}}
-	if _, err := floodMax(model.NewWordEngine(h).WithCheckpoints(ck), h, ids, n, sched()); err != nil {
+	if _, err := floodMax(model.NewEngine(h).WithCheckpoints(ck), h, ids, n, sched()); err != nil {
 		t.Fatal(err)
 	}
 	if mid == nil {
@@ -110,7 +110,7 @@ func TestFloodMaxResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := floodMax(model.NewWordEngine(h).Resume(snap), h, ids, n, sched())
+	resumed, err := floodMax(model.NewEngine(h).Resume(snap), h, ids, n, sched())
 	if err != nil {
 		t.Fatal(err)
 	}

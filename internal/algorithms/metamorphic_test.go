@@ -167,11 +167,11 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 		// id assignment.
 		const profile = "lossy:p=0.1"
 		sched := model.MustParseProfile(profile).New(h, seed)
-		f1, err := coleVishkin(model.NewWordEngine(h), h, ids1, sched)
+		f1, err := coleVishkin(model.NewEngine(h), h, ids1, sched)
 		if err != nil {
 			t.Fatalf("faulty ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
-		f2, err := coleVishkin(model.NewWordEngine(h), h, ids2, sched)
+		f2, err := coleVishkin(model.NewEngine(h), h, ids2, sched)
 		if err != nil {
 			t.Fatalf("faulty ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
@@ -179,7 +179,7 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 			t.Errorf("lossy rounds %d/%d differ from clean %d — reproducer (seed %d, profile %q)",
 				f1.Rounds, f2.Rounds, r1.Rounds, seed, profile)
 		}
-		again, err := coleVishkin(model.NewWordEngine(h), h, ids1, model.MustParseProfile(profile).New(h, seed))
+		again, err := coleVishkin(model.NewEngine(h), h, ids1, model.MustParseProfile(profile).New(h, seed))
 		if err != nil {
 			t.Fatalf("faulty rerun: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
@@ -245,11 +245,11 @@ func TestMetamorphicFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			o1, r1, rep1, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300, sched)
+			o1, r1, rep1, err := model.RunRoundsWord(h, ids1, floodRankTypedAlgo(n, 3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			o2, r2, rep2, err := model.RunRoundsTyped(h, ids2, floodRankTypedAlgo(3), 300, sched)
+			o2, r2, rep2, err := model.RunRoundsWord(h, ids2, floodRankTypedAlgo(n, 3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -272,23 +272,27 @@ func uniqueInts(xs []int) bool {
 	return true
 }
 
-// floodRankTypedState mirrors floodRankAlgo's boxed state on the
-// engine's state column: identifiers only matter through their order, and the
-// word lane carries the current best id.
+// floodRankTypedState mirrors floodRankAlgo's boxed state in the
+// algorithm's own per-node column (the state word is the node index):
+// identifiers only matter through their order, and the word lane
+// carries the current best id.
 type floodRankTypedState struct {
 	id   int64
 	best int64
 }
 
-// floodRankTypedAlgo is floodRankAlgo on the engine — the same
-// order-invariant flood, states in a contiguous column and payloads
-// on the uint64 word lane.
-func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
-	return model.TypedAlgo[floodRankTypedState]{
-		Init: func(v int, info model.NodeInfo) floodRankTypedState {
-			return floodRankTypedState{id: int64(info.ID), best: int64(info.ID)}
+// floodRankTypedAlgo is floodRankAlgo on the engine over n nodes — the
+// same order-invariant flood, states in a contiguous column and
+// payloads on the uint64 word lane.
+func floodRankTypedAlgo(n, rounds int) model.WordAlgo {
+	col := make([]floodRankTypedState, n)
+	return model.WordAlgo{
+		Init: func(v int64, info model.NodeInfo) uint64 {
+			col[v] = floodRankTypedState{id: int64(info.ID), best: int64(info.ID)}
+			return uint64(v)
 		},
-		Step: func(s *floodRankTypedState, round int, inbox []model.WordMsg, out *model.Outbox) bool {
+		Step: func(st *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
+			s := &col[*st]
 			for _, m := range inbox {
 				if v := int64(m.W); v > s.best {
 					s.best = v
@@ -300,8 +304,8 @@ func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
 			out.BroadcastWord(uint64(s.best))
 			return false
 		},
-		Out: func(s *floodRankTypedState) model.Output {
-			return model.Output{Member: s.best > s.id}
+		Out: func(st *uint64) model.Output {
+			return model.Output{Member: col[*st].best > col[*st].id}
 		},
 	}
 }
@@ -325,7 +329,7 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v — reproducer (seed %d)", err, seed)
 			}
-			clean, cleanRounds, _, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300, nil)
+			clean, cleanRounds, _, err := model.RunRoundsWord(h, ids1, floodRankTypedAlgo(n, 3), 300, nil)
 			if err != nil {
 				t.Fatalf("clean: %v — reproducer (seed %d)", err, seed)
 			}
@@ -335,11 +339,11 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 				}
 			}
 			sched := model.MustParseProfile(profile).New(h, seed)
-			t1, tr1, trep1, err := model.RunRoundsTyped(h, ids1, floodRankTypedAlgo(3), 300, sched)
+			t1, tr1, trep1, err := model.RunRoundsWord(h, ids1, floodRankTypedAlgo(n, 3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			t2, tr2, trep2, err := model.RunRoundsTyped(h, ids2, floodRankTypedAlgo(3), 300, sched)
+			t2, tr2, trep2, err := model.RunRoundsWord(h, ids2, floodRankTypedAlgo(n, 3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -367,11 +371,11 @@ func TestMetamorphicTypedMatchingRelabel(t *testing.T) {
 			t.Errorf("matching not a pure function of the rng stream — reproducer seed %d", seed)
 		}
 		sched := model.MustParseProfile(profile).New(h, seed)
-		fa, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(seed+100)), sched)
+		fa, err := randomizedMatching(model.NewEngine(h), h, rand.New(rand.NewSource(seed+100)), sched)
 		if err != nil {
 			t.Fatalf("faulty: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}
-		fb, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(seed+100)), model.MustParseProfile(profile).New(h, seed))
+		fb, err := randomizedMatching(model.NewEngine(h), h, rand.New(rand.NewSource(seed+100)), model.MustParseProfile(profile).New(h, seed))
 		if err != nil {
 			t.Fatalf("faulty rerun: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 		}

@@ -21,9 +21,9 @@ import (
 // to each other.
 //
 // The execution is genuinely operational: the proposals are drawn
-// sequentially up front (so the rng stream is schedule-independent)
-// and then exchanged in one synchronous round on the typed word lane
-// of the message-plane Engine — each node sends along the arc to its
+// sequentially in node order (so the rng stream is schedule-independent)
+// and then exchanged in one synchronous round on the word lane of the
+// round plane — each node sends along the arc to its
 // chosen neighbour and an edge is matched exactly when both endpoints
 // hear a proposal on the arc they proposed along.
 //
@@ -33,13 +33,12 @@ import (
 // ν(G) <= n/2 — expected ratio at most d, a constant for bounded
 // degree, which no deterministic local algorithm can achieve.
 func RandomizedMatching(h *model.Host, rng *rand.Rand) *model.Solution {
-	return mustMatching(model.NewWordEngine(h), h, rng)
+	return mustMatching(model.NewEngine(h), h, rng)
 }
 
 // RandomizedMatchingOn is the clean RandomizedMatching on a
-// caller-provided engine. It returns an error instead of promising
-// success: an armed context can abort the run mid-protocol.
-func RandomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
+// caller-provided engine. Perfbench only.
+func RandomizedMatchingOn(e *model.Engine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
 	res, err := randomizedMatching(e, h, rng, nil)
 	if err != nil {
 		return nil, err
@@ -67,16 +66,6 @@ type MatchingResult struct {
 // propose, one to hear the answers.
 const matchingRounds = 2
 
-// proposeState is a node's pre-drawn proposal; the protocol state
-// proper (chosen slot, sent, matched) is packed into the engine's
-// uint64 state column, see the m* layout below.
-type proposeState struct {
-	// letter names the arc to the proposed neighbour.
-	letter view.Letter
-	// propose is false on isolated nodes.
-	propose bool
-}
-
 // Word layout of the proposal protocol's packed state:
 //
 //	bits 0..31  the proposed arc's local slot index
@@ -92,69 +81,38 @@ const (
 	mMatched  = uint64(1) << 34
 )
 
-// drawProposals pre-draws every node's proposal sequentially, keeping
-// the rng stream off the parallel rounds (and off the fault schedule:
-// the same seed proposes identically under every profile).
-func drawProposals(h *model.Host, rng *rand.Rand) ([]int, []proposeState) {
-	g := h.G
-	n := g.N()
-	proposal := make([]int, n)
-	states := make([]proposeState, n)
-	for v := 0; v < n; v++ {
-		proposal[v] = -1
-		if d := g.Degree(v); d > 0 {
-			proposal[v] = int(g.Neighbors(v)[rng.Intn(d)])
-			states[v] = proposeState{letter: letterTo(h, v, proposal[v]), propose: true}
-		}
-	}
-	return proposal, states
-}
-
-// proposalWordAlgo is the one-round mutual-proposal exchange over
-// pre-drawn proposals, on the typed word lane. A node matches when a
-// proposal arrives on the slot it itself proposed (and sent) along;
-// on a faulty plane one or both directions may be lost, but the
-// selected edge set stays a matching because each node only ever
-// selects the single edge it proposed. The payload word is
-// irrelevant — arrival alone carries "I propose to you".
-func proposalWordAlgo(states []proposeState) model.WordAlgo {
+// proposalAlgo is the one-round mutual-proposal exchange, for every
+// input: init draws or looks up node v's proposal and returns its
+// packed state (0 on isolated nodes). A node matches when a proposal
+// arrives on the slot it itself proposed (and sent) along; on a faulty
+// plane one or both directions may be lost, but the selected edge set
+// stays a matching because each node only ever selects the single edge
+// it proposed. The payload word is irrelevant — arrival alone carries
+// "I propose to you".
+func proposalAlgo(init func(v int64, info model.NodeInfo) uint64) model.WordAlgo {
 	return model.WordAlgo{
-		// Init indexes the pre-drawn table by node, keeping every
-		// random bit off the parallel rounds, and converts the drawn
-		// letter to its local slot in the letter-sorted row.
-		Init: func(v int, info model.NodeInfo) uint64 {
-			if !states[v].propose {
-				return 0
-			}
-			return uint64(slotOf(info.Letters, states[v].letter)) | mPropose
-		},
+		Init: init,
 		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			return proposalStep(state, round, inbox, out)
+			s := *state
+			if round == 0 {
+				if s&mPropose != 0 {
+					out.SendWord(int(s&mSlotMask), 1)
+					*state = s | mSent
+				}
+				return false
+			}
+			if s&mPropose != 0 && s&mSent != 0 {
+				slot := int32(s & mSlotMask)
+				for _, m := range inbox {
+					if m.Slot == slot {
+						*state = s | mMatched
+					}
+				}
+			}
+			return true
 		},
 		Out: func(*uint64) model.Output { return model.Output{} },
 	}
-}
-
-// proposalStep is the exchange round over the abstract send surface —
-// shared by the flat WordAlgo above and the sharded port.
-func proposalStep(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-	s := *state
-	if round == 0 {
-		if s&mPropose != 0 {
-			out.SendWord(int(s&mSlotMask), 1)
-			*state = s | mSent
-		}
-		return false
-	}
-	if s&mPropose != 0 && s&mSent != 0 {
-		slot := int32(s & mSlotMask)
-		for _, m := range inbox {
-			if m.Slot == slot {
-				*state = s | mMatched
-			}
-		}
-	}
-	return true
 }
 
 // slotOf locates l in a letter-sorted slot row (the typed NodeInfo
@@ -173,27 +131,43 @@ func slotOf(letters []view.Letter, l view.Letter) int {
 	return lo
 }
 
-// mustMatching is RandomizedMatchingOn for engines that cannot fail.
-func mustMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand) *model.Solution {
-	sol, err := RandomizedMatchingOn(e, h, rng)
+// mustMatching is the clean matching on an engine that cannot fail.
+func mustMatching(e *model.Engine, h *model.Host, rng *rand.Rand) *model.Solution {
+	res, err := randomizedMatching(e, h, rng, nil)
 	if err != nil {
 		// Unreachable on an uncancellable engine: every slot was
 		// resolved from a real arc and each node sends at most once.
 		panic(fmt.Sprintf("algorithms: randomized matching round: %v", err))
 	}
-	return sol
+	return res.Matching
 }
 
-// randomizedMatching is the flat-plane matching core: the sequentially
-// pre-drawn proposals exchanged on a caller-armed engine under sched
-// (nil: the clean run). A dropped direction loses at most that edge,
-// so the output remains a matching — losses shrink it, they never
-// corrupt it — and edges with a crashed endpoint are excluded. The
-// same rng stream proposes identically under every schedule.
-func randomizedMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand, sched model.Schedule) (*MatchingResult, error) {
-	n := h.G.N()
-	proposal, states := drawProposals(h, rng)
-	col, _, rep, err := e.RunStates(nil, proposalWordAlgo(states), model.Budget(matchingRounds+1, sched), sched)
+// randomizedMatching is the matching on a materialised host: the
+// sequentially pre-drawn proposals exchanged on a caller-armed engine
+// under sched (nil: the clean run), extracted from the state column
+// into a Solution. A dropped direction loses at most that edge, so the
+// output remains a matching — losses shrink it, they never corrupt it
+// — and edges with a crashed endpoint are excluded. The same rng
+// stream proposes identically under every schedule.
+func randomizedMatching(e *model.Engine, h *model.Host, rng *rand.Rand, sched model.Schedule) (*MatchingResult, error) {
+	g := h.G
+	n := g.N()
+	// Init draws each node's proposal in increasing node order, keeping
+	// the rng stream off the parallel rounds (and off the fault
+	// schedule: the same seed proposes identically under every
+	// profile), and converts the drawn neighbour to its local slot in
+	// the letter-sorted row.
+	proposal := make([]int, n)
+	algo := proposalAlgo(func(v int64, info model.NodeInfo) uint64 {
+		proposal[v] = -1
+		d := g.Degree(int(v))
+		if d == 0 {
+			return 0
+		}
+		proposal[v] = int(g.Neighbors(int(v))[rng.Intn(d)])
+		return uint64(slotOf(info.Letters, letterTo(h, int(v), proposal[v]))) | mPropose
+	})
+	col, _, rep, err := e.RunStates(nil, algo, model.Budget(matchingRounds+1, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: randomized matching: %w", err)
 	}
@@ -227,7 +201,7 @@ func letterTo(h *model.Host, v, u int) view.Letter {
 // guarantee made measurable. All trials share one engine, so only the
 // first pays for the message plane.
 func RandomizedMatchingTrials(h *model.Host, trials int, rng *rand.Rand) float64 {
-	e := model.NewWordEngine(h)
+	e := model.NewEngine(h)
 	total := 0
 	for i := 0; i < trials; i++ {
 		total += mustMatching(e, h, rng).Size()

@@ -33,8 +33,8 @@ type Workload struct {
 
 // Workloads is the registry, in listing order.
 var Workloads = []Workload{
-	{"cole-vishkin", "ID-model MIS on a directed cycle (typed word-lane engine)", true, true},
-	{"matching", "one round of §6.5 randomized mutual proposals (typed word-lane engine)", true, true},
+	{"cole-vishkin", "ID-model MIS on a directed cycle (word-lane engine)", true, true},
+	{"matching", "one round of §6.5 randomized mutual proposals (word-lane engine)", true, true},
 	{"gather", "full-information view gathering, radius rmax (default 2)", false, false},
 	{"flood", "FloodMax leader election for a horizon of rounds (default n; long-horizon)", false, true},
 }
@@ -91,7 +91,7 @@ func (s Spec) Radius() int {
 	return 2
 }
 
-// Outcome is what one run reports, on either plane.
+// Outcome is what one run reports, from Run or RunSharded.
 type Outcome struct {
 	// Rounds is the number of rounds executed.
 	Rounds int
@@ -101,7 +101,7 @@ type Outcome struct {
 	Size int
 	// Leader is the largest identifier (flood only).
 	Leader int
-	// Solution is the computed MIS or matching (flat cole-vishkin and
+	// Solution is the computed MIS or matching (Run's cole-vishkin and
 	// matching only), for callers that verify feasibility.
 	Solution *model.Solution
 	// Report summarises the injected faults ("clean" on a nil
@@ -110,16 +110,16 @@ type Outcome struct {
 	// Violations and Uncovered are Cole–Vishkin's survivor-safety
 	// counts; Conflicts is the matching's.
 	Violations, Uncovered, Conflicts int
-	// Shards is the shard count the sharded plane actually used (0 on
-	// the flat plane); CrossArcs and ExchangedWords total its exchange
-	// plane.
+	// Shards is the shard count RunSharded's engine actually used (0
+	// from Run); CrossArcs and ExchangedWords total its exchange plane.
 	Shards                    int
 	CrossArcs, ExchangedWords int64
 }
 
-// Run runs a workload on the flat plane: e is the caller's engine for
-// h, armed as the caller needs (checkpoints, resume), and ctx is armed
-// on it here. Identifiers are model.PermIDs(rng, n, 8n), exactly
+// Run runs a workload on a materialised host: e is the caller's
+// engine for h (any shard count), armed as the caller needs
+// (checkpoints, resume), and ctx is armed on it here. Results are
+// extracted from the state column into a Solution. Identifiers are model.PermIDs(rng, n, 8n), exactly
 // rng.Perm(8n)[:n], from the caller's rng, drawn first, and matching
 // draws its proposals from the same rng.
 func Run(ctx context.Context, e *model.Engine, h *model.Host, rng *rand.Rand, spec Spec) (*Outcome, error) {
@@ -127,14 +127,14 @@ func Run(ctx context.Context, e *model.Engine, h *model.Host, rng *rand.Rand, sp
 	n := h.G.N()
 	switch spec.Algo {
 	case "cole-vishkin":
-		res, err := coleVishkin(model.TypedOn[uint64](e), h, model.PermIDs(rng, n, 8*n), spec.Sched)
+		res, err := coleVishkin(e, h, model.PermIDs(rng, n, 8*n), spec.Sched)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Rounds: res.Rounds, Size: res.MIS.Size(), Solution: res.MIS, Report: res.Report,
 			Violations: res.Violations, Uncovered: res.Uncovered}, nil
 	case "matching":
-		res, err := randomizedMatching(model.TypedOn[uint64](e), h, rng, spec.Sched)
+		res, err := randomizedMatching(e, h, rng, spec.Sched)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +152,7 @@ func Run(ctx context.Context, e *model.Engine, h *model.Host, rng *rand.Rand, sp
 		if horizon < 1 {
 			horizon = n
 		}
-		res, err := floodMax(model.TypedOn[uint64](e), h, model.PermIDs(rng, n, 8*n), horizon, spec.Sched)
+		res, err := floodMax(e, h, model.PermIDs(rng, n, 8*n), horizon, spec.Sched)
 		if err != nil {
 			return nil, err
 		}
@@ -161,10 +161,11 @@ func Run(ctx context.Context, e *model.Engine, h *model.Host, rng *rand.Rand, sp
 	return nil, fmt.Errorf("unknown workload %q\n%s", spec.Algo, DescribeWorkloads())
 }
 
-// RunSharded runs a workload on the sharded plane se, with ctx armed
-// on it here. Identifiers come from model.SeededIDs(n, seed) and
+// RunSharded runs a workload on the engine se over its shard source,
+// at any shard count, with ctx armed on it here and results extracted
+// streaming. Identifiers come from model.SeededIDs(n, seed) and
 // matching proposals from a rand.Rand seeded with seed.
-func RunSharded(ctx context.Context, se *model.ShardedEngine, seed int64, spec Spec) (*Outcome, error) {
+func RunSharded(ctx context.Context, se *model.Engine, seed int64, spec Spec) (*Outcome, error) {
 	se.WithContext(ctx)
 	n := se.N()
 	var out *Outcome

@@ -29,7 +29,7 @@ func TestRunMatchesCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv, err := coleVishkin(model.NewWordEngine(cyc), cyc, ids(64), cs)
+		cv, err := coleVishkin(model.NewEngine(cyc), cyc, ids(64), cs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestRunMatchesCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := randomizedMatching(model.NewWordEngine(torus), torus, rng(), ts)
+		m, err := randomizedMatching(model.NewEngine(torus), torus, rng(), ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestRunMatchesCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := floodMax(model.NewWordEngine(torus), torus, ids(64), 64, ts)
+		f, err := floodMax(model.NewEngine(torus), torus, ids(64), 64, ts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,24 +3,23 @@ package algorithms
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
 
-// This file ports the two flagship operational algorithms onto the
-// sharded giant-host plane (model.ShardedEngine). The round cores are
-// the exact functions the flat engine runs — coleVishkinWordStep and
-// proposalStep over the WordSender surface — so a P=1 sharded run is
-// byte-identical to the unsharded run by construction, and the
-// differential tests pin it. What changes is the bookkeeping around
-// the run: identifiers come from an IDFunc instead of a slice,
-// randomness is drawn inside the sequential Init sweep instead of a
-// pre-drawn table, and results are extracted streaming (histograms
-// and counts, never an n-length column), so 10^8-node hosts stay
-// within per-shard bounded memory.
+// This file runs the two flagship operational algorithms on implicit
+// shard sources (model.NewShardedEngine), where the host is never
+// materialised. The word algorithms are the very ones the host paths
+// run — coleVishkinAlgo and proposalAlgo — on the same plane; what
+// changes is the bookkeeping around the run: identifiers come from an
+// IDFunc instead of a slice, proposals are drawn inside the sequential
+// Init sweep from the source's arc rows instead of a pre-drawn table,
+// and results are extracted streaming (histograms and counts, never an
+// n-length column), so 10^8-node hosts stay within per-shard bounded
+// memory.
 
-// ShardedCVResult reports a Cole–Vishkin run on the sharded plane.
+// ShardedCVResult reports a Cole–Vishkin run on a shard source.
 // Per-node colours and membership stay inside the engine (decode them
 // with CVState under VisitStates); the result carries the aggregates
 // the experiments plot.
@@ -47,26 +46,38 @@ func CVState(w uint64) (color int, inMIS bool) {
 	return int(w & cvColorMask), w&cvMISBit != 0
 }
 
-// ColeVishkinMISSharded runs Cole–Vishkin MIS clean on a sharded
-// engine whose source is a consistently oriented cycle. ids assigns
-// the global identifiers (model.SeededIDs needs no materialised table)
-// and maxID bounds the id space — for SeededIDs over n nodes that is
-// n-1.
-func ColeVishkinMISSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (*ShardedCVResult, error) {
+// ColeVishkinMISSharded runs Cole–Vishkin MIS clean on an engine
+// whose source is a consistently oriented cycle. Perfbench only.
+func ColeVishkinMISSharded(se *model.Engine, ids model.IDFunc, maxID int) (*ShardedCVResult, error) {
 	return coleVishkinSharded(se, ids, maxID, nil)
 }
 
-// coleVishkinSharded is the sharded-plane Cole–Vishkin core under
-// sched (nil: the clean run), with the flat core's contract: a clean
-// run must end in colours {0,1,2} forming an MIS, and anything else is
-// an error; under a schedule the run degrades instead of failing and
-// reports the survivor-safety counts.
-func coleVishkinSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int, sched model.Schedule) (*ShardedCVResult, error) {
-	steps, last, err := cvPlanSharded(se, ids, maxID)
+// coleVishkinSharded is Cole–Vishkin on the engine's shard source
+// under sched (nil: the clean run), with the streaming extraction. ids
+// assigns the global identifiers (model.SeededIDs needs no
+// materialised table) and maxID bounds the id space — for SeededIDs
+// over n nodes that is n-1. A clean run must end in colours {0,1,2}
+// forming an MIS, and anything else is an error; under a schedule the
+// run degrades instead of failing and reports the survivor-safety
+// counts.
+func coleVishkinSharded(se *model.Engine, ids model.IDFunc, maxID int, sched model.Schedule) (*ShardedCVResult, error) {
+	if ids == nil {
+		return nil, fmt.Errorf("algorithms: sharded Cole–Vishkin needs identifiers (see model.SeededIDs)")
+	}
+	if maxID < 0 {
+		return nil, fmt.Errorf("algorithms: negative id bound %d", maxID)
+	}
+	algo, last, err := coleVishkinAlgo(maxID)
 	if err != nil {
 		return nil, err
 	}
-	rounds, rep, err := se.Run(ids, coleVishkinShardedAlgo(steps, last), model.Budget(last+2, sched), sched)
+	src := se.Source()
+	for v, n := int64(0), src.N(); v < n; v++ {
+		if out, in := src.Degree(v); out != 1 || in != 1 {
+			return nil, errCVHost
+		}
+	}
+	rounds, rep, err := se.Run(ids, algo, model.Budget(last+2, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded Cole–Vishkin: %w", err)
 	}
@@ -108,47 +119,11 @@ func crashedOf(rep *model.FaultReport) func(int64) bool {
 	return func(v int64) bool { return rep.CrashedNode(int(v)) }
 }
 
-// cvPlanSharded validates a sharded Cole–Vishkin instance: the source
-// must be a consistently oriented cycle (out- and in-degree 1
-// everywhere) and the id bound must fit the colour lane.
-func cvPlanSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (steps, last int, err error) {
-	if ids == nil {
-		return 0, 0, fmt.Errorf("algorithms: sharded Cole–Vishkin needs identifiers (see model.SeededIDs)")
-	}
-	if maxID < 0 {
-		return 0, 0, fmt.Errorf("algorithms: negative id bound %d", maxID)
-	}
-	if uint64(maxID) > cvColorMask {
-		return 0, 0, fmt.Errorf("algorithms: id %d exceeds the %d-bit colour lane", maxID, cvColorBits)
-	}
-	src := se.Source()
-	for v, n := int64(0), src.N(); v < n; v++ {
-		if out, in := src.Degree(v); out != 1 || in != 1 {
-			return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
-		}
-	}
-	steps = cvSteps(maxID)
-	return steps, steps + 6, nil
-}
-
-// coleVishkinShardedAlgo is the Cole–Vishkin pipeline on the sharded
-// word lane — the same step core as coleVishkinWordAlgo.
-func coleVishkinShardedAlgo(steps, last int) model.ShardedWordAlgo {
-	step := coleVishkinWordStep(steps, last)
-	return model.ShardedWordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 { return cvInit(info) },
-		Step: step,
-		Out: func(state *uint64) model.Output {
-			return model.Output{Member: *state&cvMISBit != 0}
-		},
-	}
-}
-
 // CVSurvivorSafetySharded is CVSurvivorSafety streaming over a shard
 // source: violations counts surviving adjacent member pairs,
 // uncovered counts surviving non-members with no surviving member
 // neighbour. A nil crashed predicate means every node survived.
-func CVSurvivorSafetySharded(se *model.ShardedEngine, crashed func(int64) bool) (violations, uncovered int64) {
+func CVSurvivorSafetySharded(se *model.Engine, crashed func(int64) bool) (violations, uncovered int64) {
 	src := se.Source()
 	var outS, inS []model.ShardArc
 	for v, n := int64(0), src.N(); v < n; v++ {
@@ -195,22 +170,22 @@ type ShardedMatchingResult struct {
 }
 
 // RandomizedMatchingSharded runs the one-round mutual-proposal
-// matching clean on a sharded engine. Proposals are drawn from rng
-// inside the engine's sequential global-order Init sweep — the same
-// stream, in the same order, as the flat drawProposals — and each node
-// picks uniformly among its neighbours in ascending-id order, so for
-// the same seed the selected edge set equals the flat run's. The host
-// must be simple (at most one arc between any node pair).
-func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*ShardedMatchingResult, error) {
+// matching clean on an engine's shard source. Perfbench only.
+func RandomizedMatchingSharded(se *model.Engine, rng *rand.Rand) (*ShardedMatchingResult, error) {
 	return randomizedMatchingSharded(se, rng, nil)
 }
 
-// randomizedMatchingSharded is the sharded-plane matching core under
-// sched (nil: the clean run): losses shrink the matching, never
-// corrupt it, and edges with a crashed endpoint are excluded, as on
-// the flat plane.
-func randomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand, sched model.Schedule) (*ShardedMatchingResult, error) {
-	_, rep, err := se.Run(nil, proposalShardedAlgo(se.Source(), rng), model.Budget(matchingRounds+1, sched), sched)
+// randomizedMatchingSharded is the matching on the engine's shard
+// source under sched (nil: the clean run), with the streaming
+// extraction. Proposals are drawn from rng inside the engine's
+// sequential global-order Init sweep — the same stream, in the same
+// order, as drawProposals — and each node picks uniformly among its
+// neighbours in ascending-id order, so for the same seed the selected
+// edge set equals the host path's. The host must be simple (at most
+// one arc between any node pair). Losses shrink the matching, never
+// corrupt it, and edges with a crashed endpoint are excluded.
+func randomizedMatchingSharded(se *model.Engine, rng *rand.Rand, sched model.Schedule) (*ShardedMatchingResult, error) {
+	_, rep, err := se.Run(nil, proposalAlgo(streamProposals(se.Source(), rng)), model.Budget(matchingRounds+1, sched), sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded randomized matching: %w", err)
 	}
@@ -222,40 +197,31 @@ func randomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand, sched mo
 // VisitShardedMatching streams the selected matching edges as (u, v)
 // pairs with u < v, each exactly once, excluding edges with a crashed
 // endpoint (nil crashed means every node survived).
-func VisitShardedMatching(se *model.ShardedEngine, crashed func(int64) bool, visit func(u, v int64)) {
+func VisitShardedMatching(se *model.Engine, crashed func(int64) bool, visit func(u, v int64)) {
 	shardedMatchingTally(se, crashed, visit)
 }
 
-// proposalShardedAlgo draws each node's proposal inside Init (the
-// engine guarantees Init runs sequentially in increasing global node
-// order, so the rng stream is schedule- and shard-independent) and
-// exchanges proposals with the shared proposalStep core. The drawn
-// neighbour is the rng.Intn(d)-th in ascending-id order, matching the
-// flat drawProposals over sorted CSR adjacency.
-func proposalShardedAlgo(src model.ShardSource, rng *rand.Rand) model.ShardedWordAlgo {
+// streamProposals is the Init of the streaming matching: it draws each
+// node's proposal from rng as the engine's sequential global-order
+// Init sweep reaches it (so the rng stream is schedule- and
+// shard-independent). The drawn neighbour is the rng.Intn(d)-th in
+// ascending-id order, matching drawProposals over sorted CSR
+// adjacency.
+func streamProposals(src model.ShardSource, rng *rand.Rand) func(v int64, info model.NodeInfo) uint64 {
 	var outS, inS []model.ShardArc
 	var ts, sorted []int64
-	return model.ShardedWordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 {
-			out, in := src.Degree(v)
-			d := out + in
-			if d == 0 {
-				return 0
-			}
-			outS, inS = src.AppendArcs(v, outS[:0], inS[:0])
-			ts = mergeTargets(ts[:0], outS, inS)
-			sorted = append(sorted[:0], ts...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			u := sorted[rng.Intn(d)]
-			for slot, t := range ts {
-				if t == u {
-					return uint64(slot) | mPropose
-				}
-			}
-			panic(fmt.Sprintf("algorithms: no arc between neighbours %d and %d", v, u))
-		},
-		Step: proposalStep,
-		Out:  func(*uint64) model.Output { return model.Output{} },
+	return func(v int64, info model.NodeInfo) uint64 {
+		out, in := src.Degree(v)
+		d := out + in
+		if d == 0 {
+			return 0
+		}
+		outS, inS = src.AppendArcs(v, outS[:0], inS[:0])
+		ts = mergeTargets(ts[:0], outS, inS)
+		sorted = append(sorted[:0], ts...)
+		slices.Sort(sorted)
+		u := sorted[rng.Intn(d)]
+		return uint64(slices.Index(ts, u)) | mPropose
 	}
 }
 
@@ -282,7 +248,7 @@ func mergeTargets(ts []int64, out, in []model.ShardArc) []int64 {
 // already selected the same edge) and the per-vertex conflict check.
 // Per node it re-derives the slot-order peer row from the source —
 // the price of never materialising an n-length proposal table.
-func shardedMatchingTally(se *model.ShardedEngine, crashed func(int64) bool, visit func(u, v int64)) (proposals, matched, conflicts int64) {
+func shardedMatchingTally(se *model.Engine, crashed func(int64) bool, visit func(u, v int64)) (proposals, matched, conflicts int64) {
 	src := se.Source()
 	var outS, inS []model.ShardArc
 	var ts []int64

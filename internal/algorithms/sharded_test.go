@@ -45,7 +45,7 @@ func TestShardedCVMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ColeVishkinMISSharded(se, idf, n-1)
+			res, err := coleVishkinSharded(se, idf, n-1, nil)
 			if err != nil {
 				t.Fatalf("n=%d P=%d: %v", n, p, err)
 			}
@@ -83,7 +83,7 @@ func TestShardedCVFaultyMatchesFlat(t *testing.T) {
 	}
 	for _, prof := range []string{"lossy:p=0.2", "crash:f=5,by=4", "crash:f=4,by=3,recover=6", "dup+reorder:p=0.3"} {
 		pr := model.MustParseProfile(prof)
-		flat, err := coleVishkin(model.NewWordEngine(h), h, ids, pr.New(h, 77))
+		flat, err := coleVishkin(model.NewEngine(h), h, ids, pr.New(h, 77))
 		if err != nil {
 			t.Fatalf("%s flat: %v", prof, err)
 		}
@@ -124,7 +124,7 @@ func TestShardedCVFaultyMatchesFlat(t *testing.T) {
 
 // shardedEdges collects the sharded matching's edge set in flat edge
 // form.
-func shardedEdges(se *model.ShardedEngine, crashed func(int64) bool) map[graph.Edge]bool {
+func shardedEdges(se *model.Engine, crashed func(int64) bool) map[graph.Edge]bool {
 	out := map[graph.Edge]bool{}
 	VisitShardedMatching(se, crashed, func(u, v int64) {
 		out[graph.NewEdge(int(u), int(v))] = true
@@ -143,7 +143,7 @@ func TestShardedMatchingMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RandomizedMatchingSharded(se, rand.New(rand.NewSource(99)))
+			res, err := randomizedMatchingSharded(se, rand.New(rand.NewSource(99)), nil)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", desc, p, err)
 			}
@@ -173,7 +173,7 @@ func TestShardedMatchingFaultyMatchesFlat(t *testing.T) {
 		h := mustEngineHost(t, desc)
 		for _, prof := range []string{"lossy:p=0.4", "crash:f=4,by=2", "dup+reorder:p=0.3"} {
 			pr := model.MustParseProfile(prof)
-			flat, err := randomizedMatching(model.NewWordEngine(h), h, rand.New(rand.NewSource(7)), pr.New(h, 13))
+			flat, err := randomizedMatching(model.NewEngine(h), h, rand.New(rand.NewSource(7)), pr.New(h, 13))
 			if err != nil {
 				t.Fatalf("%s/%s flat: %v", desc, prof, err)
 			}
@@ -216,7 +216,7 @@ func TestShardedCVRejectsNonCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ColeVishkinMISSharded(se, model.SeededIDs(16, 1), 15); err == nil {
+	if _, err := coleVishkinSharded(se, model.SeededIDs(16, 1), 15, nil); err == nil {
 		t.Fatal("non-cycle accepted")
 	}
 	cyc, err := host.ParseShard("dcycle:16")
@@ -227,7 +227,7 @@ func TestShardedCVRejectsNonCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ColeVishkinMISSharded(se2, nil, 15); err == nil {
+	if _, err := coleVishkinSharded(se2, nil, 15, nil); err == nil {
 		t.Fatal("nil ids accepted")
 	}
 }

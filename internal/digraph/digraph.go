@@ -256,7 +256,7 @@ func DirectedCycle(n int) *Digraph {
 // capacityErr mirrors graph's flat-capacity diagnostic for the
 // digraph CSR arrays.
 func capacityErr(what string, have int64) error {
-	return fmt.Errorf("digraph: %s %d exceeds the flat-CSR int32 capacity %d: host exceeds flat-CSR capacity, use shards (model.ShardedEngine over a host.ShardSource)",
+	return fmt.Errorf("digraph: %s %d exceeds the flat-CSR int32 capacity %d: host exceeds flat-CSR capacity, use shards (model.NewShardedEngine over a host.ShardSource)",
 		what, have, int64(graph.FlatCapacity))
 }
 

@@ -22,7 +22,7 @@ import (
 // address: offsets and vertex ids are []int32, so a flat graph can
 // hold at most 2^31-1 vertices and 2^31-1 directed arc slots (2m).
 // Hosts past this bound must be sharded instead of materialised —
-// see model.ShardedEngine and host.ShardSource.
+// see model.NewShardedEngine and host.ShardSource.
 const FlatCapacity = math.MaxInt32
 
 // capacityErr renders the uniform over-capacity diagnosis. Before the
@@ -30,7 +30,7 @@ const FlatCapacity = math.MaxInt32
 // for any host past 2^31 arcs; now the failure is loud and names the
 // way out.
 func capacityErr(what string, have int64) error {
-	return fmt.Errorf("graph: %s %d exceeds the flat-CSR int32 capacity %d: host exceeds flat-CSR capacity, use shards (model.ShardedEngine over a host.ShardSource)",
+	return fmt.Errorf("graph: %s %d exceeds the flat-CSR int32 capacity %d: host exceeds flat-CSR capacity, use shards (model.NewShardedEngine over a host.ShardSource)",
 		what, have, int64(FlatCapacity))
 }
 

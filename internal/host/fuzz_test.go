@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"repro/internal/digraph"
 )
 
 // fuzzNodeBudget caps the rough size of a host the fuzzer may request.
@@ -89,6 +91,45 @@ func FuzzParse(f *testing.F) {
 		}
 		if err := sameHost(h1, h2); err != nil {
 			t.Fatalf("%q re-parsed to a different host: %v", desc, err)
+		}
+	})
+}
+
+// FuzzParseShard feeds arbitrary descriptors to the implicit-source
+// decoder behind localsim -shards and /v1/run?shards=: ParseShard must
+// return an error rather than panic, and a source it accepts must have
+// N >= 1 and arc rows consistent with Degree — label-sorted, endpoints
+// in range — at every node.
+func FuzzParseShard(f *testing.F) {
+	for _, desc := range []string{"cycle:12", "dcycle:9", "torus:3x4", "torus:3x3x3", "shift-regular:d=3,n=20,seed=2", "torus:4294967297x4294967297"} {
+		f.Add(desc)
+	}
+	f.Fuzz(func(t *testing.T, desc string) {
+		if fuzzTooBig(desc) {
+			t.Skip("descriptor may request a large host")
+		}
+		src, err := ParseShard(desc)
+		if err != nil {
+			return
+		}
+		n := src.N()
+		if n < 1 {
+			t.Fatalf("ParseShard(%q): N = %d", desc, n)
+		}
+		var out, in []digraph.SourceArc
+		for v := int64(0); v < n; v++ {
+			do, di := src.Degree(v)
+			out, in = src.AppendArcs(v, out[:0], in[:0])
+			if len(out) != do || len(in) != di {
+				t.Fatalf("%q node %d: Degree (%d,%d), rows (%d,%d)", desc, v, do, di, len(out), len(in))
+			}
+			for _, row := range [][]digraph.SourceArc{out, in} {
+				for i, a := range row {
+					if a.To < 0 || a.To >= n || a.Label < 0 || a.Label >= src.Alphabet() || (i > 0 && row[i-1].Label >= a.Label) {
+						t.Fatalf("%q node %d: bad arc row %v", desc, v, row)
+					}
+				}
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -102,10 +103,17 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
+		n := int64(1)
 		for _, s := range dims {
 			if s < 3 {
 				return nil, fmt.Errorf("side %d < 3", s)
 			}
+			// mulNodes' product check, without the flat cap: a shard
+			// source may exceed it, but its node count must fit int64.
+			if int64(s) > math.MaxInt64/n {
+				return nil, fmt.Errorf("sides %v: node count overflows int64", dims)
+			}
+			n *= int64(s)
 		}
 		return newTorusSource(dims), nil
 	})

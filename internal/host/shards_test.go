@@ -234,3 +234,22 @@ func TestTorusSourceUnderlyingMatchesRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestTorusSourceRejectsOverflow: the implicit torus may exceed the
+// flat cap, but its node count must fit int64 — side products that
+// wrap (to 8589934593 for 2^32+1 squared, negative just past 2^31.5
+// squared) are errors, not giant or negative hosts.
+func TestTorusSourceRejectsOverflow(t *testing.T) {
+	for _, desc := range []string{"torus:4294967297x4294967297", "torus:3037000500x3037000500", "torus:3x1099511627776x3x1099511627776"} {
+		if src, err := ParseShard(desc); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("ParseShard(%q) = %v, err %v; want the int64 overflow error", desc, src, err)
+		}
+	}
+	src, err := ParseShard("torus:3037000499x3037000499")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(3037000499) * 3037000499; src.N() != want {
+		t.Fatalf("N = %d, want %d", src.N(), want)
+	}
+}

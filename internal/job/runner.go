@@ -229,8 +229,8 @@ type runResult struct {
 }
 
 // runEngineWorkload runs the /v1/run workloads as durable jobs.
-// Checkpointed workloads resume through the engine's default uint64
-// codec; gather's view trees live outside the engine's state column
+// Checkpointed workloads resume from the engine's snapshots (their
+// whole state is the uint64 column); gather's view trees live outside it
 // and are not snapshotted, so gather jobs restart from scratch after a
 // crash instead of resuming.
 func runEngineWorkload(a *attempt, spec Spec) ([]byte, error) {

@@ -15,7 +15,7 @@ import (
 // the active worklist forever, so a run only ends via maxRounds or
 // cancellation.
 var neverHalt = WordAlgo{
-	Init: func(v int, info NodeInfo) uint64 { return 0 },
+	Init: func(v int64, info NodeInfo) uint64 { return 0 },
 	Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool { return false },
 	Out:  func(state *uint64) Output { return Output{} },
 }
@@ -29,7 +29,7 @@ func TestRunCancelledByDeadline(t *testing.T) {
 	h := HostFromGraph(graph.Torus(16, 16))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, _, _, err := TypedOn[uint64](NewEngine(h).WithContext(ctx)).RunStates(nil, neverHalt, 1<<30, nil)
+	_, _, _, err := NewEngine(h).WithContext(ctx).RunStates(nil, neverHalt, 1<<30, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -68,19 +68,19 @@ func TestRunCancelledFaultyCarriesProfile(t *testing.T) {
 // untouched — runs complete normally and reuse works.
 func TestWithContextNilDisarms(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(12))
-	te := TypedOn[uint64](NewEngine(h).WithContext(nil))
+	te := NewEngine(h).WithContext(nil)
 	if _, _, _, err := te.RunStates(nil, typedPulseAlgo(2), 4, nil); err != nil {
 		t.Fatalf("nil-ctx run failed: %v", err)
 	}
 }
 
 // TestWithContextTypedPath: an already-cancelled context stops a
-// TypedOn engine before its first round.
+// plain engine before its first round.
 func TestWithContextTypedPath(t *testing.T) {
 	h := HostFromGraph(graph.Torus(8, 8))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	te := TypedOn[uint64](NewEngine(h).WithContext(ctx))
+	te := NewEngine(h).WithContext(ctx)
 	_, _, _, err := te.RunStates(nil, neverHalt, 64, nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("typed cancelled run: err=%v", err)

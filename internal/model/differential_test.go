@@ -48,7 +48,7 @@ func TestGatheredTreesDifferential(t *testing.T) {
 			}
 
 			// Message-passing simulation (the operational reference).
-			states, _, err := RunRoundsStates(h, nil, GatherViews(r), r+1)
+			states, _, err := RunRoundsReference(h, nil, GatherViews(r), r+1)
 			if err != nil {
 				t.Fatalf("%s r=%d: sim: %v", name, r, err)
 			}

@@ -7,21 +7,30 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/par"
+	"repro/internal/digraph"
 	"repro/internal/view"
 )
 
-// Engine is the batched worker-parallel round simulator behind
-// TypedEngine: the operational analogue of the sweep engine. It sizes a
-// CSR message plane once from the host's arc structure and then
-// executes synchronous rounds with no per-round slice churn at all.
+// Engine is the one round plane: a batched, worker-parallel simulator
+// of synchronous word-lane round algorithms, partitioned into P
+// contiguous shards. NewEngine builds the single-shard plane straight
+// from a materialised host's CSR rows; NewShardedEngine builds P shards
+// from a ShardSource, so hosts past the int32 per-shard capacity — or
+// simply past what one contiguous plane should hold — run with
+// per-shard bounded memory. Every run, at every P, goes through the one
+// round loop (rounds.go).
 //
 // Layout. Every incident (arc, direction) pair of every node is one
-// slot: node v's slots are off[v]:off[v+1], ordered by the letter
-// naming the arc at v (view.Letter.Less), so an inbox is always
-// delivered in the receiver's letter order regardless of worker
-// schedule. dest[s] maps a send on slot s's letter to the slot naming
-// the same arc by the inverse letter at the other endpoint.
+// slot: node v's slots are a contiguous row ordered by the letter
+// naming the arc at v (view.Letter.Less, out before in on equal
+// labels), so an inbox is always delivered in the receiver's letter
+// order regardless of worker schedule. Rows are concatenated in global
+// node order, so a slot's global index is the same at every P; a shard
+// holds the rows of its node range at local offsets off, plus slotBase.
+// dest[s] routes a send on slot s to the slot naming the same arc by
+// the inverse letter at the other endpoint: a local slot, or, when the
+// peer lives in another shard, a staging slot in the tail of the
+// shard's own arenas, past its rows.
 //
 // Double buffering. Messages for round r live in arena r&1 and the
 // outboxes of round r are written into arena (r+1)&1, so a slot is
@@ -31,84 +40,316 @@ import (
 // round r iff its stamp equals the run's base tick + r + 1, so
 // neither arena is ever zeroed, not even between runs.
 //
-// Payload lane. Every payload is one uint64 word in the lane wbuf,
-// parallel to the stamps; algorithms attach through TypedOn and carry
-// wider payloads as column handles (see Gather).
+// Exchange. Cross-shard sends are staged in the sender's shard,
+// grouped by destination shard, and at the round barrier each
+// destination shard drains every staging range aimed at it — the same
+// CONS/GOSSIP boundary cometbft draws between the consensus state
+// machine and the gossip plane. Every staging entry targets a unique
+// destination slot and inboxes are compacted in slot order at the
+// receiver, so which shard, worker or drain pass wrote a word cannot
+// change what a node sees: P is a memory knob, never an answer knob.
 //
-// Worklist. Halted nodes leave the active list and cost nothing: each
-// round is a worker-sharded sweep of the active list only (dynamic
-// chunk handoff over a shared cursor, par.ForScratch-style), and the
-// workers are persistent for the whole run — spawned once against
-// par's global budget (par.Reserve), released at the end — so a
-// steady-state round performs no allocation and no goroutine churn.
+// Determinism. Each node's Step writes only its own state word, halt
+// flag and outgoing slots, and Init runs sequentially in increasing
+// global node order, so any randomness drawn there is independent of
+// P and of the worker count.
 //
-// Determinism. Each node's Step writes only that node's state slot,
-// halt flag and outgoing message slots, so parallel and sequential
-// runs are byte-identical; any randomness must be drawn before the
-// run (Init is invoked sequentially in increasing node order for
-// exactly this reason).
-//
-// An Engine may be reused for any number of runs on its host (arenas
-// warm up once; the monotone stamps keep a run from reading an earlier
-// run's messages), but a single Engine must not execute two runs
-// concurrently.
+// An Engine may be reused for any number of runs (arenas warm up once;
+// the monotone stamps keep a run from reading an earlier run's
+// messages), but must not execute two runs concurrently.
 type Engine struct {
-	h *Host
-	n int
-
-	// Slot layout (see above).
-	off     []int32
-	letters []view.Letter
-	dest    []int32
-	// maxSlots is the widest slot row (the plane's maximum in-degree):
-	// the bound every per-worker inbox-compaction scratch is pre-sized
-	// from (2x for fault scratch, so duplicated deliveries fit).
+	h      *Host // the host NewEngine built the plane from; nil for sources
+	src    ShardSource
+	shards []*shard
+	n      int64
+	slots  int64
+	// maxSlots is the widest slot row (the plane's maximum degree):
+	// the bound every per-worker inbox-compaction scratch and the Init
+	// letter scratch are pre-sized from (2x for fault scratch, so
+	// duplicated deliveries fit).
 	maxSlots int32
-	// Message plane: the double-buffered word lane with monotone
-	// stamps.
+	tick     int64
+	errFlag  atomic.Bool
+
+	// ctx, when non-nil, arms cooperative cancellation: the round loop
+	// polls ctx.Err() at every round barrier. See WithContext.
+	ctx context.Context
+
+	// Durability (snapshot.go): ck arms barrier checkpointing, resume
+	// holds a snapshot armed for the next run.
+	ck     *Checkpointer
+	resume *Snapshot
+}
+
+// shard is one partition of the plane: a contiguous global node range
+// with its own slot rows, double-buffered word arenas, state column,
+// worklist and outgoing exchange staging.
+type shard struct {
+	lo, hi   int64 // global node range [lo, hi)
+	n        int32 // hi - lo
+	slotBase int64 // global index of local slot 0
+
+	off  []int32 // local slot offsets, len n+1
+	dest []int32 // destination slot: local row slot, or off[n]+x staging slot
+
 	wbuf  [2][]uint64
 	stamp [2][]int64
-	tick  int64
 
-	// Run state, reused across runs.
-	halted  []bool
-	active  []int32
-	spare   []int32
-	errs    []error
-	errFlag atomic.Bool
-
+	col    []uint64
+	halted []bool
+	active []int32
+	spare  []int32
 	// crashed marks permanently crashed nodes on faulty runs; lazily
 	// allocated on the first faulty run so clean engines pay nothing.
 	crashed []bool
 
-	// ctx, when non-nil, arms cooperative cancellation: runCore polls
-	// ctx.Err() at every round barrier and aborts the run with a
-	// wrapped context error. See WithContext.
-	ctx context.Context
+	// Exchange staging, grouped by destination shard: staging slot
+	// off[n]+x, for x in xoff[d]:xoff[d+1], goes to shard d's slot
+	// xdst[x]. Staged words and stamps live in the arena tails, so a
+	// send is the same store whichever shard the peer is in.
+	xoff []int32
+	xdst []int32
 
-	// Durability (snapshot.go). ck arms barrier checkpointing; the
-	// ckEncStates closure is installed per run by runStates (it
-	// captures the run's codec and column). resume holds a snapshot
-	// armed for the next run; resumeFrom (-1 when disarmed) and repBase
-	// carry the restored round cursor and fault-counter bases into
-	// runCore.
-	ck          *Checkpointer
-	ckEncStates func(dst []byte) []byte
-	resume      *Snapshot
-	resumeFrom  int
-	repBase     FaultReport
+	// First send error of the smallest failing local node this round.
+	errMu sync.Mutex
+	errV  int32
+	err   error
+
+	// Observability: activeN is the worklist length after the last
+	// barrier, exchanged counts cross-shard words delivered into this
+	// shard since construction. Both read live by /metrics.
+	activeN   atomic.Int64
+	exchanged atomic.Int64
 }
 
+// MaxShards bounds the shard count. Every shard keeps a p+1 exchange
+// offset row and each barrier drain visits every (source, destination)
+// shard pair, so construction and rounds cost O(p²) on top of the
+// host; a few hundred shards already exceeds any useful split of the
+// cores the workers run on.
+const MaxShards = 256
+
+// NewEngine builds the single-shard plane for a materialised host,
+// straight from its CSR rows: each slot's destination is found by
+// counting the peer's label-sorted rows, with no per-slot letter
+// table. Everything is allocated here; runs reuse it all. It panics if
+// the host's slot count exceeds the int32 plane capacity (use
+// NewShardedEngine on an implicit source for such hosts).
+func NewEngine(h *Host) *Engine {
+	n := h.G.N()
+	sh := &shard{hi: int64(n), n: int32(n), errV: -1}
+	sh.off = make([]int32, n+1)
+	maxSlots := int32(0)
+	for v := 0; v < n; v++ {
+		row := int64(len(h.D.Out(v)) + len(h.D.In(v)))
+		if int64(sh.off[v])+row > math.MaxInt32 {
+			panic(fmt.Errorf("model: message plane needs %d+ slots, exceeding the int32 flat-plane capacity %d: host exceeds flat-CSR capacity, use shards (NewShardedEngine)",
+				int64(sh.off[v])+row, int64(math.MaxInt32)))
+		}
+		sh.off[v+1] = sh.off[v] + int32(row)
+		maxSlots = max(maxSlots, int32(row))
+	}
+	sh.dest = make([]int32, sh.off[n])
+	for v := 0; v < n; v++ {
+		// Walk v's row in letter order; each arc is named by the
+		// inverse letter at its peer u.
+		outs, ins := h.D.Out(v), h.D.In(v)
+		i, j := 0, 0
+		for s := sh.off[v]; s < sh.off[v+1]; s++ {
+			if i < len(outs) && (j >= len(ins) || outs[i].Label <= ins[j].Label) {
+				u := outs[i].To
+				sh.dest[s] = sh.off[u] + rowIndex(h.D.Out(u), h.D.In(u), view.Letter{Label: outs[i].Label, In: true})
+				i++
+			} else {
+				u := ins[j].To
+				sh.dest[s] = sh.off[u] + rowIndex(h.D.Out(u), h.D.In(u), view.Letter{Label: ins[j].Label})
+				j++
+			}
+		}
+	}
+	sh.alloc(1, 0)
+	return &Engine{h: h, src: hostSource{h: h}, shards: []*shard{sh}, n: int64(n), slots: int64(sh.off[n]), maxSlots: maxSlots}
+}
+
+// rowIndex is the position of letter l in the letter-sorted row merged
+// from the label-sorted out- and in-rows (out before in on equal
+// labels). The caller guarantees l is present.
+func rowIndex(outs, ins []digraph.Arc, l view.Letter) int32 {
+	below := func(arcs []digraph.Arc, label int) int {
+		lo, hi := 0, len(arcs)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); arcs[mid].Label < label {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	if l.In {
+		return int32(below(outs, l.Label+1) + below(ins, l.Label))
+	}
+	return int32(below(outs, l.Label) + below(ins, l.Label))
+}
+
+// alloc sizes a shard's arenas (its rows plus nx staging slots), state
+// column, worklists and exchange routing over p shards.
+func (sh *shard) alloc(p, nx int) {
+	// Each pair of double buffers is one allocation split in halves.
+	total := int(sh.off[sh.n]) + nx
+	w, st, lists := make([]uint64, 2*total), make([]int64, 2*total), make([]int32, 2*sh.n)
+	sh.wbuf = [2][]uint64{w[:total:total], w[total:]}
+	sh.stamp = [2][]int64{st[:total:total], st[total:]}
+	sh.active, sh.spare = lists[:0:sh.n], lists[sh.n:sh.n]
+	sh.col = make([]uint64, sh.n)
+	sh.halted = make([]bool, sh.n)
+	sh.xoff = make([]int32, p+1)
+	sh.xdst = make([]int32, nx)
+}
+
+// NewShardedEngine partitions the source into p contiguous shards and
+// resolves every cross-shard arc into the exchange buffers. A p above
+// n is capped at n (Shards reports the count in use); a p outside
+// 1..MaxShards, or one leaving a shard range past the int32 per-shard
+// capacity, is an error returned before anything is allocated. It also
+// fails if any single shard's slot count would overflow the int32
+// per-shard plane (raise p) or if the source is inconsistent.
+func NewShardedEngine(src ShardSource, p int) (*Engine, error) {
+	n := src.N()
+	if n <= 0 {
+		return nil, fmt.Errorf("model: sharded engine needs a non-empty host, have n=%d", n)
+	}
+	if p < 1 || p > MaxShards {
+		return nil, fmt.Errorf("model: shard count %d out of range (want 1..%d)", p, MaxShards)
+	}
+	if int64(p) > n {
+		p = int(n)
+	}
+	if span := (n + int64(p) - 1) / int64(p); span > math.MaxInt32 {
+		return nil, fmt.Errorf("model: %d nodes over %d shards leaves %d+ nodes per shard, past the int32 per-shard capacity %d: raise the shard count",
+			n, p, span, int64(math.MaxInt32))
+	}
+	e := &Engine{src: src, n: n, shards: make([]*shard, p)}
+
+	// Pass 1: ranges, degrees, per-shard slot offsets.
+	for i := 0; i < p; i++ {
+		lo := int64(i) * n / int64(p)
+		hi := int64(i+1) * n / int64(p)
+		sh := &shard{lo: lo, hi: hi, n: int32(hi - lo), slotBase: e.slots, errV: -1}
+		sh.off = make([]int32, sh.n+1)
+		slots := int64(0)
+		for v := int32(0); v < sh.n; v++ {
+			out, in := src.Degree(lo + int64(v))
+			row := int64(out + in)
+			slots += row
+			if slots > math.MaxInt32 {
+				return nil, fmt.Errorf("model: shard %d/%d needs %d+ slots, exceeding the int32 per-shard plane capacity %d: raise the shard count",
+					i, p, slots, int64(math.MaxInt32))
+			}
+			sh.off[v+1] = sh.off[v] + int32(row)
+			e.maxSlots = max(e.maxSlots, int32(row))
+		}
+		e.slots += slots
+		e.shards[i] = sh
+	}
+
+	// Pass 2: routing. For each slot, locate the peer's slot for the
+	// inverse letter; local peers route directly, remote peers get a
+	// staging entry. Staging entries are discovered in slot order and
+	// then bucketed by destination shard (counting sort), so xoff
+	// ranges are contiguous and construction is deterministic.
+	var outS, inS, pOut, pIn []ShardArc
+	letters := make([]view.Letter, 0, e.maxSlots)
+	targets := make([]int64, 0, e.maxSlots)
+	type xent struct {
+		dshard int32
+		dslot  int32
+		slot   int32
+	}
+	for i, sh := range e.shards {
+		sh.dest = make([]int32, sh.off[sh.n])
+		var cross []xent
+		for v := int32(0); v < sh.n; v++ {
+			gv := sh.lo + int64(v)
+			outS, inS = src.AppendArcs(gv, outS[:0], inS[:0])
+			letters, targets = mergeLetters(letters[:0], targets[:0], outS, inS)
+			for k, l := range letters {
+				s := sh.off[v] + int32(k)
+				u := targets[k]
+				uj := e.shardOf(u)
+				ush := e.shards[uj]
+				pOut, pIn = src.AppendArcs(u, pOut[:0], pIn[:0])
+				ds, err := peerSlot(pOut, pIn, l.Inv(), gv)
+				if err != nil {
+					return nil, fmt.Errorf("model: shard source inconsistent at arc (%d,%d) letter %v: %w", gv, u, l, err)
+				}
+				dslot := ush.off[u-ush.lo] + ds
+				if uj == i {
+					sh.dest[s] = dslot
+				} else {
+					cross = append(cross, xent{dshard: int32(uj), dslot: dslot, slot: s})
+				}
+			}
+		}
+		if total := int64(sh.off[sh.n]) + int64(len(cross)); total > math.MaxInt32 {
+			return nil, fmt.Errorf("model: shard %d/%d needs %d slots with its exchange staging, exceeding the int32 per-shard plane capacity %d: raise the shard count",
+				i, p, total, int64(math.MaxInt32))
+		}
+		sh.alloc(p, len(cross))
+		// Bucket the staging entries by destination shard.
+		for _, x := range cross {
+			sh.xoff[x.dshard+1]++
+		}
+		for d := 0; d < p; d++ {
+			sh.xoff[d+1] += sh.xoff[d]
+		}
+		fill := append([]int32(nil), sh.xoff[:p]...)
+		for _, x := range cross {
+			xi := fill[x.dshard]
+			fill[x.dshard]++
+			sh.xdst[xi] = x.dslot
+			sh.dest[x.slot] = sh.off[sh.n] + xi
+		}
+	}
+	return e, nil
+}
+
+// shardOf returns the shard index owning global node v. Ranges are
+// lo_i = floor(i*n/P), so the arithmetic estimate is off by at most
+// one; the loops correct it.
+func (e *Engine) shardOf(v int64) int {
+	p := len(e.shards)
+	i := min(int(v*int64(p)/e.n), p-1)
+	for i > 0 && v < e.shards[i].lo {
+		i--
+	}
+	for i+1 < p && v >= e.shards[i+1].lo {
+		i++
+	}
+	return i
+}
+
+// N returns the total node count.
+func (e *Engine) N() int64 { return e.n }
+
+// Shards returns the shard count.
+func (e *Engine) Shards() int { return len(e.shards) }
+
+// Source returns the shard source the plane was built over (an adapter
+// of the host for NewEngine), so algorithm wrappers can validate host
+// structure and re-derive arcs at extraction time without holding
+// their own reference.
+func (e *Engine) Source() ShardSource { return e.src }
+
 // WithContext arms cooperative cancellation for this engine's
-// subsequent runs (clean and faulty alike — they share runCore): the round loop polls ctx.Err() once per round
-// barrier, and a cancelled or deadline-expired context aborts the run
-// between rounds with an error wrapping ctx.Err() (so callers can
-// errors.Is against context.DeadlineExceeded). The persistent workers
-// are released and the message-plane tick advanced on that exit path
-// exactly as on any other, so a cancelled run hands its whole worker
-// reservation back mid-run — this is what makes a long-running
-// service able to kill a 10^6-node request that blew its deadline.
-// The poll is one atomic-ish Err call per round, so the steady-state
+// subsequent runs (clean and faulty alike): the round loop polls
+// ctx.Err() once per round barrier, and a cancelled or
+// deadline-expired context aborts the run between rounds with an error
+// wrapping ctx.Err() (so callers can errors.Is against
+// context.DeadlineExceeded). The persistent workers are released and
+// the message-plane tick advanced on that exit path exactly as on any
+// other, so a cancelled run hands its whole worker reservation back
+// mid-run. The poll is one Err call per round, so the steady-state
 // round stays allocation-free. A nil ctx (the default) disarms the
 // check. Returns e for chaining.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
@@ -116,391 +357,156 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 	return e
 }
 
-// NewEngine sizes a message plane for the host: one slot per incident
-// (arc, direction) pair, plus the halt and worklist arrays. Everything
-// is allocated here; runs reuse it all.
-func NewEngine(h *Host) *Engine {
-	n := h.G.N()
-	e := &Engine{h: h, n: n}
-	e.off = make([]int32, n+1)
-	slots := int64(0)
-	for v := 0; v < n; v++ {
-		slots += int64(len(h.D.Out(v)) + len(h.D.In(v)))
-		if slots > math.MaxInt32 {
-			panic(fmt.Errorf("model: message plane needs %d+ slots, exceeding the int32 flat-plane capacity %d: host exceeds flat-CSR capacity, use shards (NewShardedEngine)",
-				slots, int64(math.MaxInt32)))
-		}
-		e.off[v+1] = e.off[v] + int32(len(h.D.Out(v))+len(h.D.In(v)))
-		if w := e.off[v+1] - e.off[v]; w > e.maxSlots {
-			e.maxSlots = w
-		}
+// Column returns every node's state word after the last run, in global
+// node order: the single shard's own column at P=1 (overwritten by the
+// next run), a gathered copy otherwise.
+func (e *Engine) Column() []uint64 {
+	if len(e.shards) == 1 {
+		return e.shards[0].col
 	}
-	total := int(e.off[n])
-	e.letters = make([]view.Letter, total)
-	e.dest = make([]int32, total)
-	for v := 0; v < n; v++ {
-		// Merge the label-sorted out- and in-rows into letter order.
-		outs, ins := h.D.Out(v), h.D.In(v)
-		i, j := 0, 0
-		for s := e.off[v]; s < e.off[v+1]; s++ {
-			takeOut := i < len(outs) &&
-				(j >= len(ins) || outs[i].Label <= ins[j].Label)
-			if takeOut {
-				e.letters[s] = view.Letter{Label: outs[i].Label}
-				i++
-			} else {
-				e.letters[s] = view.Letter{Label: ins[j].Label, In: true}
-				j++
-			}
-		}
+	col := make([]uint64, 0, e.n)
+	for _, sh := range e.shards {
+		col = append(col, sh.col...)
 	}
-	for v := 0; v < n; v++ {
-		for s := e.off[v]; s < e.off[v+1]; s++ {
-			l := e.letters[s]
-			u, _ := resolveLetter(h, v, l)
-			e.dest[s] = e.slot(u, l.Inv())
-		}
-	}
-	for a := 0; a < 2; a++ {
-		e.wbuf[a] = make([]uint64, total)
-		e.stamp[a] = make([]int64, total)
-	}
-	e.halted = make([]bool, n)
-	e.active = make([]int32, 0, n)
-	e.spare = make([]int32, 0, n)
-	e.errs = make([]error, n)
-	e.resumeFrom = -1
-	return e
+	return col
 }
 
-// slot returns the index of v's slot for letter l, or off[v+1] when v
-// has no such letter (binary search over the letter-sorted slot row).
-func (e *Engine) slot(v int, l view.Letter) int32 {
-	lo, hi := e.off[v], e.off[v+1]
-	end := hi
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if e.letters[mid].Less(l) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < end && e.letters[lo] == l {
-		return lo
-	}
-	return end
+// StateAt returns node v's current state word — random access for
+// checkers that cross shard boundaries (VisitStates is the bulk
+// path). Only meaningful between runs.
+func (e *Engine) StateAt(v int64) uint64 {
+	sh := e.shards[e.shardOf(v)]
+	return sh.col[v-sh.lo]
 }
 
-// fail records v's first send error; the run surfaces the error of
-// the smallest failing node after the round's barrier.
-func (e *Engine) fail(v int, err error) {
-	if e.errs[v] == nil {
-		e.errs[v] = err
-		e.errFlag.Store(true)
+// VisitStates calls fn for every node in increasing global order with
+// the node's final state — the extraction path that never builds a
+// full-length column (10^8-node results are consumed streaming).
+func (e *Engine) VisitStates(fn func(v int64, state uint64)) {
+	for _, sh := range e.shards {
+		for v, w := range sh.col {
+			fn(sh.lo+int64(v), w)
+		}
 	}
 }
 
-// Outbox routes one node's outgoing messages straight into the next
-// round's arena. Each worker owns one Outbox for the whole run; the
-// engine repoints it at the current node before every Step.
+// ShardStats is one shard's observability snapshot, served by
+// /metrics on sharded runs.
+type ShardStats struct {
+	// Shard is the shard index; Lo/Hi its global node range.
+	Shard int
+	Lo    int64
+	Hi    int64
+	// Slots is the shard's plane width, ExchangeOut its outgoing
+	// staging capacity (resident cross-shard arcs).
+	Slots       int64
+	ExchangeOut int64
+	// Active is the worklist occupancy at the last round barrier;
+	// Exchanged counts cross-shard words delivered into the shard
+	// since construction. Both are safe to read during a run.
+	Active    int64
+	Exchanged int64
+}
+
+// Stats snapshots every shard's occupancy and exchange counters.
+func (e *Engine) Stats() []ShardStats {
+	out := make([]ShardStats, len(e.shards))
+	for i, sh := range e.shards {
+		out[i] = ShardStats{
+			Shard:       i,
+			Lo:          sh.lo,
+			Hi:          sh.hi,
+			Slots:       int64(sh.off[sh.n]),
+			ExchangeOut: int64(len(sh.xdst)),
+			Active:      sh.activeN.Load(),
+			Exchanged:   sh.exchanged.Load(),
+		}
+	}
+	return out
+}
+
+// Outbox routes one node's outgoing words into the next round's arena
+// (local destinations) or its shard's exchange staging (remote
+// destinations). Each worker owns one Outbox for the whole run; the
+// engine repoints it at the current shard and node before every Step.
 type Outbox struct {
 	e    *Engine
-	v    int32
+	sh   *shard
+	v    int32 // shard-local node index
 	nxt  int   // arena written this round
 	want int64 // stamp marking next-round messages
 
-	// round and prof contextualise error strings (prof is "" on clean
-	// runs; see errf), and the counters accumulate this worker's
-	// fault events for the run's FaultReport.
+	// round and tag contextualise error strings (tag is " [profile]"
+	// on faulty runs, "" on clean ones), and the counters accumulate
+	// this worker's fault events for the run's FaultReport.
 	round     int
-	prof      string
+	tag       string
 	dropped   int64
 	duped     int64
 	reordered int64
 	downSteps int64
 
 	// Per-worker inbox-compaction scratch, pre-sized by the run from
-	// the plane's max in-degree: wdense serves the clean path, fwdense
-	// the faulty path at twice that, so every delivery duplicating
-	// still fits.
+	// the plane's max degree: wdense serves the clean path, fwdense the
+	// faulty path at twice that, so every delivery duplicating still
+	// fits.
 	wdense  []WordMsg
 	fwdense []WordMsg
+
+	// A worker writes v for every node it steps; the trailing cache
+	// line keeps the next worker's Outbox off this one's hot lines.
+	_ [64]byte
 }
 
-// errf builds a run error carrying the round number and, on faulty
-// runs, the fault-profile descriptor.
-func (ob *Outbox) errf(format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	if ob.prof != "" {
-		return fmt.Errorf("model: round %d [%s]: %s", ob.round, ob.prof, msg)
+// fail records a round-stamped send error of the current node, keeping
+// the smallest failing node in the shard; the run surfaces the
+// globally smallest one after the barrier.
+func (ob *Outbox) fail(format string, args ...any) {
+	sh, v := ob.sh, ob.v
+	err := fmt.Errorf("model: round %d%s: %s", ob.round, ob.tag, fmt.Sprintf(format, args...))
+	sh.errMu.Lock()
+	if sh.errV < 0 || v < sh.errV {
+		sh.errV, sh.err = v, err
 	}
-	return fmt.Errorf("model: round %d: %s", ob.round, msg)
+	sh.errMu.Unlock()
+	ob.e.errFlag.Store(true)
 }
 
 // SendWord emits the payload word w on the sender's local incident
-// slot (the letter-sorted index: typed info.Letters[slot] names the
-// arc). Sends on absent slots and second sends on one slot in the
-// same round are errors reported by the run. There is no letter
-// lookup; the slot index addresses the plane directly.
+// slot (the letter-sorted index: info.Letters[slot] names the arc).
+// Sends on absent slots and second sends on one slot in the same round
+// are errors reported by the run. There is no letter lookup; the slot
+// index addresses the plane directly.
 func (ob *Outbox) SendWord(slot int, w uint64) {
-	e := ob.e
-	v := int(ob.v)
-	lo, hi := e.off[v], e.off[v+1]
+	sh := ob.sh
+	lo, hi := sh.off[ob.v], sh.off[ob.v+1]
+	gv := sh.lo + int64(ob.v)
 	if slot < 0 || int32(slot) >= hi-lo {
-		e.fail(v, ob.errf("node %d sent on absent slot %d (node has %d)", v, slot, hi-lo))
+		ob.fail("node %d sent on absent slot %d (node has %d)", gv, slot, hi-lo)
 		return
 	}
-	d := e.dest[lo+int32(slot)]
-	st := e.stamp[ob.nxt]
+	d := sh.dest[lo+int32(slot)]
+	st := sh.stamp[ob.nxt]
 	if st[d] == ob.want {
-		e.fail(v, ob.errf("node %d sent twice on slot %d", v, slot))
+		ob.fail("node %d sent twice on slot %d", gv, slot)
 		return
 	}
-	e.wbuf[ob.nxt][d] = w
+	sh.wbuf[ob.nxt][d] = w
 	st[d] = ob.want
 }
 
 // BroadcastWord emits w on every incident slot of the sending node —
-// the whole-row fast path of the lane: one pass over the
-// sender's slot row, no per-letter lookup and no double-send
-// bookkeeping (it overwrites anything already sent this round on
-// those slots; a second BroadcastWord in one Step simply wins).
+// the whole-row fast path of the lane: one pass over the sender's slot
+// row, no per-letter lookup and no double-send bookkeeping (it
+// overwrites anything already sent this round on those slots; a second
+// BroadcastWord in one Step simply wins).
 func (ob *Outbox) BroadcastWord(w uint64) {
-	e := ob.e
-	v := int(ob.v)
-	nb := e.wbuf[ob.nxt]
-	st := e.stamp[ob.nxt]
+	sh := ob.sh
 	want := ob.want
-	for s := e.off[v]; s < e.off[v+1]; s++ {
-		d := e.dest[s]
+	nb := sh.wbuf[ob.nxt]
+	st := sh.stamp[ob.nxt]
+	for _, d := range sh.dest[sh.off[ob.v]:sh.off[ob.v+1]] {
 		nb[d] = w
 		st[d] = want
 	}
-}
-
-// runCore is the round-loop machinery shared by the clean and faulty
-// paths: active-worklist management (including schedule-driven crash
-// removal), persistent workers with dynamic chunk handoff, the
-// per-round barrier, error surfacing, and fault-report assembly. step
-// performs one node's round (compaction, fate draws and the
-// algorithm's Step all live in the caller's closure); prep pre-sizes
-// each Outbox's per-worker scratch before the first round.
-func (e *Engine) runCore(step func(int, *Outbox), prep func(*Outbox), sched Schedule, maxRounds int) (int, *FaultReport, error) {
-	// A restored snapshot (snapshot.go) shifts the start round and
-	// seeds the fault counters; the worklist is then rebuilt from the
-	// restored bitsets instead of the schedule's round-0 fates, and
-	// e.crashed must survive as restored rather than be cleared.
-	startRound, resumed := 0, e.resumeFrom >= 0
-	if resumed {
-		startRound = e.resumeFrom
-	}
-	defer func() {
-		e.resumeFrom = -1
-		e.repBase = FaultReport{}
-	}()
-	prof := ""
-	if sched != nil {
-		prof = sched.String()
-		if e.crashed == nil {
-			e.crashed = make([]bool, e.n)
-		} else if !resumed {
-			for v := range e.crashed {
-				e.crashed[v] = false
-			}
-		}
-	}
-	e.errFlag.Store(false)
-	active := e.active[:0]
-	for v := 0; v < e.n; v++ {
-		if resumed {
-			if e.halted[v] || (sched != nil && e.crashed[v]) {
-				continue
-			}
-		} else if sched != nil && sched.State(0, int32(v)) == StateCrashed {
-			e.crashed[v] = true
-			continue
-		}
-		active = append(active, int32(v))
-	}
-	base := e.tick
-
-	// Per-round fields shared with the workers. Writes happen between
-	// rounds on this goroutine; the start-channel send publishes them
-	// to the workers and wg.Wait closes the round barrier.
-	var (
-		curArena int
-		curWant  int64
-		round    int
-		chunk    int64
-		cursor   atomic.Int64
-
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	// Advance the tick past every stamp this run can have written, on
-	// every exit path (including errors and re-raised panics): a
-	// reused engine must never mistake a stale stamp for a live one.
-	defer func() {
-		e.tick = base + int64(round) + 2
-	}()
-
-	roundWork := func(ob *Outbox) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMu.Lock()
-				if panicked == nil {
-					panicked = r
-				}
-				panicMu.Unlock()
-			}
-		}()
-		for {
-			hi := cursor.Add(chunk)
-			lo := hi - chunk
-			if lo >= int64(len(active)) {
-				return
-			}
-			if hi > int64(len(active)) {
-				hi = int64(len(active))
-			}
-			for _, v := range active[lo:hi] {
-				step(int(v), ob)
-			}
-		}
-	}
-
-	// Persistent workers: spawned once against par's global budget,
-	// released after the last round; each owns one Outbox for the run.
-	workers := 0
-	if e.n > 1 {
-		workers = par.Reserve(min(par.N()-1, e.n-1))
-	}
-	defer par.Release(workers)
-	// Outboxes live outside the goroutines (master's is last) so the
-	// per-worker fault counters are collectable after the run.
-	obs := make([]*Outbox, workers+1)
-	for w := range obs {
-		obs[w] = &Outbox{e: e, prof: prof}
-		prep(obs[w])
-	}
-	start := make([]chan struct{}, workers)
-	for w := range start {
-		start[w] = make(chan struct{}, 1)
-		go func(ch chan struct{}, ob *Outbox) {
-			for range ch {
-				ob.nxt = curArena ^ 1
-				ob.want = curWant + 1
-				ob.round = round
-				roundWork(ob)
-				wg.Done()
-			}
-		}(start[w], obs[w])
-	}
-	defer func() {
-		for _, ch := range start {
-			close(ch)
-		}
-	}()
-	masterOb := obs[workers]
-
-	round = startRound
-	for ; round < maxRounds && len(active) > 0; round++ {
-		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
-				if prof != "" {
-					return 0, nil, fmt.Errorf("model: round %d [%s]: run cancelled: %w", round, prof, err)
-				}
-				return 0, nil, fmt.Errorf("model: round %d: run cancelled: %w", round, err)
-			}
-		}
-		curArena = round & 1
-		curWant = base + int64(round) + 1
-		chunk = int64(len(active)/((workers+1)*4)) + 1
-		cursor.Store(0)
-		wg.Add(workers)
-		for _, ch := range start {
-			ch <- struct{}{}
-		}
-		masterOb.nxt = curArena ^ 1
-		masterOb.want = curWant + 1
-		masterOb.round = round
-		roundWork(masterOb)
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
-		if e.errFlag.Load() {
-			for _, v := range active {
-				if err := e.errs[v]; err != nil {
-					return 0, nil, err
-				}
-			}
-		}
-		// Compact the active worklist; the spare buffer flips roles so
-		// neither list is reallocated. On the faulty path nodes whose
-		// crash round has arrived leave the worklist permanently.
-		nxt := e.spare[:0]
-		if sched != nil {
-			for _, v := range active {
-				if e.halted[v] {
-					continue
-				}
-				if sched.State(round+1, v) == StateCrashed {
-					e.crashed[v] = true
-					continue
-				}
-				nxt = append(nxt, v)
-			}
-		} else {
-			for _, v := range active {
-				if !e.halted[v] {
-					nxt = append(nxt, v)
-				}
-			}
-		}
-		e.spare = active[:0]
-		active = nxt
-		// Barrier checkpoint: after compaction (so crashes landing at
-		// round+1 are in the bitsets) and before the next round's
-		// cancellation poll (so RequestNow-then-cancel captures state
-		// right at the cancellation point). The idle cost is one nil
-		// check; a finished run (empty worklist) never checkpoints.
-		if e.ck != nil && len(active) > 0 && e.ck.due(round+1) {
-			if err := e.snapshotAt(round+1, base, sched, obs); err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-	e.active = active[:0]
-	if len(active) > 0 {
-		if prof != "" {
-			return 0, nil, fmt.Errorf("model: node %d did not halt within %d rounds [%s]", active[0], maxRounds, prof)
-		}
-		return 0, nil, fmt.Errorf("model: node %d did not halt within %d rounds", active[0], maxRounds)
-	}
-	if sched == nil {
-		return round, cleanReport(), nil
-	}
-	rep := &FaultReport{
-		Profile:    prof,
-		Dropped:    e.repBase.Dropped,
-		Duplicated: e.repBase.Duplicated,
-		Reordered:  e.repBase.Reordered,
-		DownSteps:  e.repBase.DownSteps,
-	}
-	for _, ob := range obs {
-		rep.Dropped += ob.dropped
-		rep.Duplicated += ob.duped
-		rep.Reordered += ob.reordered
-		rep.DownSteps += ob.downSteps
-	}
-	rep.Crashed = append([]bool(nil), e.crashed...)
-	for _, c := range rep.Crashed {
-		if c {
-			rep.NumCrashed++
-		}
-	}
-	return round, rep, nil
 }

@@ -72,7 +72,7 @@ func floodMaxAlgo() RoundAlgo {
 // low byte): the WordAlgo twin of the reference workload.
 func floodWordAlgo() WordAlgo {
 	return WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 {
+		Init: func(v int64, info NodeInfo) uint64 {
 			id := uint64(info.ID)
 			return id<<32 | id<<8 | uint64(1+info.ID%4)
 		},
@@ -118,7 +118,7 @@ func TestEngineDifferentialFlood(t *testing.T) {
 		refOuts, refRounds := referenceOutputs(t, h, ids)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, _, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16, nil)
+			outs, rounds, _, err := RunRoundsWord(h, ids, floodWordAlgo(), 16, nil)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: engine: %v", name, p, err)
@@ -194,12 +194,19 @@ func TestSimulatePORoundsDifferential(t *testing.T) {
 func TestEngineInboxLetterOrder(t *testing.T) {
 	defer par.Set(par.Set(8))
 	h := HostFromGraph(graph.Torus(6, 6))
-	ordered := TypedAlgo[[]view.Letter]{
-		Init: func(v int, info NodeInfo) []view.Letter { return info.Letters },
-		Step: func(ls *[]view.Letter, round int, inbox []WordMsg, out *Outbox) bool {
+	// The letter rows live in the test's own column; the state word is
+	// the node index (the column-handle form Gather uses).
+	rows := make([][]view.Letter, h.G.N())
+	ordered := WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			rows[v] = append([]view.Letter(nil), info.Letters...)
+			return uint64(v)
+		},
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 			if round == 1 {
+				ls := rows[*st]
 				for i := 1; i < len(inbox); i++ {
-					if a, b := (*ls)[inbox[i-1].Slot], (*ls)[inbox[i].Slot]; !a.Less(b) {
+					if a, b := ls[inbox[i-1].Slot], ls[inbox[i].Slot]; !a.Less(b) {
 						panic(fmt.Sprintf("inbox out of letter order: %v after %v", b, a))
 					}
 				}
@@ -208,9 +215,9 @@ func TestEngineInboxLetterOrder(t *testing.T) {
 			out.BroadcastWord(uint64(round))
 			return false
 		},
-		Out: func(*[]view.Letter) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, _, err := RunRoundsTyped(h, nil, ordered, 4, nil); err != nil {
+	if _, _, _, err := RunRoundsWord(h, nil, ordered, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -225,16 +232,16 @@ func TestEngineErrorsMatchReference(t *testing.T) {
 		Out:  func(any) Output { return Output{} },
 	}
 	neverWord := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	_, _, _, errE := RunRoundsTyped(h, nil, neverWord, 4, nil)
+	_, _, _, errE := RunRoundsWord(h, nil, neverWord, 4, nil)
 	_, _, errR := RunRoundsReference(h, nil, never, 4)
 	if errE == nil || errR == nil || errE.Error() != errR.Error() {
 		t.Errorf("non-halt errors differ: %v vs %v", errE, errR)
 	}
-	_, _, _, errE = RunRoundsTyped(h, []int{1, 2}, neverWord, 4, nil)
+	_, _, _, errE = RunRoundsWord(h, []int{1, 2}, neverWord, 4, nil)
 	_, _, errR = RunRoundsReference(h, []int{1, 2}, never, 4)
 	if errE == nil || errR == nil || errE.Error() != errR.Error() {
 		t.Errorf("ids-length errors differ: %v vs %v", errE, errR)
@@ -246,7 +253,7 @@ func TestEngineErrorsMatchReference(t *testing.T) {
 func TestEngineDuplicateSend(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(4))
 	dup := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 			out.SendWord(0, 1)
 			out.SendWord(0, 2)
@@ -254,34 +261,33 @@ func TestEngineDuplicateSend(t *testing.T) {
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, _, err := RunRoundsTyped(h, nil, dup, 3, nil); err == nil {
+	if _, _, _, err := RunRoundsWord(h, nil, dup, 3, nil); err == nil {
 		t.Error("duplicate send accepted")
 	}
 }
 
 // slotPulseAlgo is the checked-send steady-state workload: every node
 // sends the remaining round count on each of its slots through
-// SendWord for a fixed number of rounds.
-func slotPulseAlgo(rounds int) TypedAlgo[pulseState] {
-	return TypedAlgo[pulseState]{
-		Init: func(v int, info NodeInfo) pulseState {
-			return pulseState{slots: len(info.Letters), left: rounds}
+// SendWord for a fixed number of rounds. The state packs the slot
+// count (high 32 bits) and the remaining rounds (low 32 bits).
+func slotPulseAlgo(rounds int) WordAlgo {
+	return WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			return uint64(len(info.Letters))<<32 | uint64(rounds)
 		},
-		Step: func(s *pulseState, round int, inbox []WordMsg, out *Outbox) bool {
-			if s.left == 0 {
+		Step: func(s *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			if *s&0xffffffff == 0 {
 				return true
 			}
-			s.left--
-			for i := 0; i < s.slots; i++ {
-				out.SendWord(i, uint64(s.left))
+			*s--
+			for i := 0; i < int(*s>>32); i++ {
+				out.SendWord(i, *s&0xffffffff)
 			}
 			return false
 		},
-		Out: func(*pulseState) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
 }
-
-type pulseState struct{ slots, left int }
 
 // TestEngineSteadyStateAllocs: after arena warm-up, a steady-state
 // round of checked sends allocates nothing. Measured as the allocation
@@ -290,7 +296,7 @@ type pulseState struct{ slots, left int }
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	te := NewTypedEngine[pulseState](h)
+	te := NewEngine(h)
 	runFor := func(rounds int) func() {
 		return func() {
 			if _, _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2, nil); err != nil {
@@ -312,9 +318,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // reads no stale messages.
 func TestEngineReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
-	e := NewWordEngine(h)
+	e := NewEngine(h)
 	bad := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 			out.SendWord(99, 1)
 			return false
@@ -322,7 +328,7 @@ func TestEngineReuseAfterError(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	never := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 			out.SendWord(0, 1<<40)
 			return false
@@ -353,7 +359,7 @@ func TestEngineReuseAfterError(t *testing.T) {
 // arenas are never cleared) with results identical to fresh engines.
 func TestEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewWordEngine(h)
+	e := NewEngine(h)
 	rng := rand.New(rand.NewSource(3))
 	ids := rng.Perm(40)[:10]
 	var first []Output
@@ -362,7 +368,7 @@ func TestEngineReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshRounds, _, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16, nil)
+		fresh, freshRounds, _, err := RunRoundsWord(h, ids, floodWordAlgo(), 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +385,7 @@ func TestEngineReuse(t *testing.T) {
 
 // runOutputs runs a word algorithm clean on a reused engine and
 // extracts the per-node outputs.
-func runOutputs(e *WordEngine, ids []int, algo WordAlgo, maxRounds int) ([]Output, int, error) {
+func runOutputs(e *Engine, ids []int, algo WordAlgo, maxRounds int) ([]Output, int, error) {
 	col, rounds, _, err := e.RunStates(ids, algo, maxRounds, nil)
 	if err != nil {
 		return nil, 0, err

@@ -565,7 +565,7 @@ func (p *fparams) prob(name string, def float64) (float64, error) {
 	}
 	p.used[name] = true
 	x, err := strconv.ParseFloat(s, 64)
-	if err != nil || x < 0 || x > 1 {
+	if err != nil || !(x >= 0 && x <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("argument %s=%q is not a probability in [0,1]", name, s)
 	}
 	return x, nil

@@ -47,6 +47,8 @@ func TestParseProfile(t *testing.T) {
 		"nosuch:p=0.1",
 		"lossy:p=1.5",
 		"lossy:p=x",
+		"lossy:p=NaN",
+		"churn:p=nan",
 		"lossy:q=0.1",     // unused argument
 		"lossy:p=0.1,p=1", // duplicate argument
 		"crash",           // missing f
@@ -120,7 +122,7 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
 		refOuts, refRounds := referenceOutputs(t, h, ids)
-		outs, rounds, rep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 16, nil)
+		outs, rounds, rep, err := RunRoundsWord(h, ids, floodWordAlgo(), 16, nil)
 		if err != nil {
 			t.Fatalf("%s: faulty-clean: %v", name, err)
 		}
@@ -140,7 +142,7 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, _, errF := RunRoundsTyped(h, nil, typedPulseAlgo(99), 3, nil)
+	_, _, _, errF := RunRoundsWord(h, nil, typedPulseAlgo(99), 3, nil)
 	_, _, errR := RunRoundsReference(h, nil, never, 3)
 	if errF == nil || errR == nil || errF.Error() != errR.Error() {
 		t.Errorf("non-halt errors differ: %v vs %v", errF, errR)
@@ -153,14 +155,14 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 func TestErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err := RunRoundsTyped(h, nil, typedPulseAlgo(99), 4, sched)
+	_, _, _, err := RunRoundsWord(h, nil, typedPulseAlgo(99), 4, sched)
 	want := "model: node 0 did not halt within 4 rounds [lossy:p=0]"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty non-halt error = %v, want %q", err, want)
 	}
 
 	dupAt := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 			out.SendWord(1, 0)
 			if r == 3 {
@@ -170,7 +172,7 @@ func TestErrorFormats(t *testing.T) {
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, _, err = RunRoundsTyped(h, nil, dupAt, 6, sched)
+	_, _, _, err = RunRoundsWord(h, nil, dupAt, 6, sched)
 	if err == nil || !strings.HasPrefix(err.Error(), "model: round 3 [lossy:p=0]: node ") ||
 		!strings.Contains(err.Error(), "sent twice on slot 1") {
 		t.Errorf("faulty double-send error lacks round/profile prefix: %v", err)
@@ -194,7 +196,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 		var results [2]result
 		for i, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, rep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 300, sched)
+			outs, rounds, rep, err := RunRoundsWord(h, ids, floodWordAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v (reproducer: seed=99, profile=%s)", desc, p, err, desc)
@@ -214,7 +216,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 func TestCrashProfiles(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(64))
 	ids := rand.New(rand.NewSource(5)).Perm(256)[:64]
-	_, _, rep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
+	_, _, rep, err := RunRoundsWord(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestCrashProfiles(t *testing.T) {
 		t.Errorf("Crashed marks %d nodes, want 7", count)
 	}
 
-	_, _, rep, err = RunRoundsTyped(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
+	_, _, rep, err = RunRoundsWord(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestLossyGatherDegrades(t *testing.T) {
 func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	te := NewTypedEngine[pulseState](h)
+	te := NewEngine(h)
 	sched := MustParseProfile("clean").New(h, 1)
 	runFor := func(rounds int) func() {
 		return func() {
@@ -368,7 +370,7 @@ func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 // to the reference.
 func TestFaultyEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewWordEngine(h)
+	e := NewEngine(h)
 	ids := rand.New(rand.NewSource(3)).Perm(40)[:10]
 	want, wantRounds := referenceOutputs(t, h, ids)
 	sched := MustParseProfile("lossy:p=0.4").New(h, 8)
@@ -414,4 +416,25 @@ func TestShuffleMsgs(t *testing.T) {
 	if len(seen) != 8 {
 		t.Errorf("shuffle lost elements: %v", a)
 	}
+}
+
+// FuzzParseProfile feeds arbitrary descriptors to the fault-profile
+// decoder that -faults, /v1/run?faults= and job specs all reach:
+// ParseProfile must return an error rather than panic, and a profile
+// it accepts must bind with New on a small host and drive a short run.
+func FuzzParseProfile(f *testing.F) {
+	for _, desc := range []string{"clean", "lossy:p=0.05", "dup+reorder:p=0.25", "crash:f=3,by=4,recover=2", "churn:p=0.1,window=4", "adversarial:p=0.1,f=2,by=4", "lossy:p=NaN"} {
+		f.Add(desc)
+	}
+	h := HostFromGraph(graph.Torus(4, 4))
+	f.Fuzz(func(t *testing.T, desc string) {
+		p, err := ParseProfile(desc)
+		if err != nil {
+			return
+		}
+		sched := p.New(h, 1)
+		if _, _, _, err := RunRoundsWord(h, nil, floodWordAlgo(), Budget(16, sched), sched); err != nil && !strings.Contains(err.Error(), "did not halt") {
+			t.Fatalf("%q: %v", desc, err)
+		}
+	})
 }

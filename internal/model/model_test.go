@@ -323,10 +323,10 @@ func TestRunRoundsHaltFailure(t *testing.T) {
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsStates(cycleHost(3), nil, never, 5); err == nil {
+	if _, _, err := RunRoundsReference(cycleHost(3), nil, never, 5); err == nil {
 		t.Error("non-halting algorithm accepted by the reference loop")
 	}
-	if _, _, _, err := RunRoundsTyped(cycleHost(3), nil, typedPulseAlgo(99), 5, nil); err == nil {
+	if _, _, _, err := RunRoundsWord(cycleHost(3), nil, typedPulseAlgo(99), 5, nil); err == nil {
 		t.Error("non-halting algorithm accepted by the engine")
 	}
 }
@@ -335,7 +335,7 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 	// Each node learns its neighbours' ids in one round and reports
 	// whether it is a local maximum (state: id<<1 | max bit).
 	algo := WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return uint64(info.ID) << 1 },
+		Init: func(v int64, info NodeInfo) uint64 { return uint64(info.ID) << 1 },
 		Step: func(s *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 			if round == 0 {
 				out.BroadcastWord(*s >> 1)
@@ -354,7 +354,7 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 	}
 	h := cycleHost(6)
 	ids := []int{5, 9, 1, 7, 3, 8}
-	outs, rounds, _, err := RunRoundsTyped(h, ids, algo, 10, nil)
+	outs, rounds, _, err := RunRoundsWord(h, ids, algo, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

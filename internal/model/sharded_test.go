@@ -10,13 +10,14 @@ import (
 	"repro/internal/par"
 )
 
-// The sharded differential suite: for every workload the sharded
-// plane must be byte-identical to the flat typed engine — same final
-// states, same round counts, same fault reports, same error strings —
-// at P=1 (where the sharded plane IS the flat plane) and at P=2 and
-// P=8 (where cross-shard staging and the exchange drain carry a large
-// fraction of the traffic). Runs repeat at par 1 and par 8 to cover
-// both the master-only and the worker-pool paths.
+// The shard differential suite: the plane built from a ShardSource at
+// P shards must be byte-identical to the plane NewEngine builds from
+// the host's CSR rows — same final states, same round counts, same
+// fault reports, same error strings — at P=1 (the same single-shard
+// layout reached by the other construction) and at P=2 and P=8 (where
+// cross-shard staging and the exchange drain carry a large fraction of
+// the traffic). Runs repeat at par 1 and par 8 to cover both the
+// master-only and the worker-pool paths.
 
 // mustShardDiffHost resolves a registry descriptor into an
 // engine-ready host, equipping plain graph families with the
@@ -56,8 +57,8 @@ func mixWordInit(id int, letters int) uint64 {
 	return uint64(letters)<<48 | uint64(id+1)&mixMask
 }
 
-func mixWordStep(rounds int) func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
-	return func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+func mixWordStep(rounds int) func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+	return func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 		s := *state
 		acc := s & mixMask
 		for _, m := range inbox {
@@ -80,19 +81,8 @@ func mixWordStep(rounds int) func(state *uint64, round int, inbox []WordMsg, out
 	}
 }
 
-func flatMixAlgo(rounds int) WordAlgo {
-	step := mixWordStep(rounds)
+func mixAlgo(rounds int) WordAlgo {
 	return WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
-		Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			return step(state, round, inbox, out)
-		},
-		Out: func(state *uint64) Output { return Output{} },
-	}
-}
-
-func shardedMixAlgo(rounds int) ShardedWordAlgo {
-	return ShardedWordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
 		Step: mixWordStep(rounds),
 		Out:  func(state *uint64) Output { return Output{} },
@@ -131,9 +121,9 @@ func TestShardedByteIdentical(t *testing.T) {
 			var wantRounds int
 			var wantRep *FaultReport
 			{
-				e := NewWordEngine(h)
+				e := NewEngine(h)
 				var err error
-				wantCol, wantRounds, wantRep, err = e.RunStates(ids, flatMixAlgo(rounds), 300, p.New(h, 42))
+				wantCol, wantRounds, wantRep, err = e.RunStates(ids, mixAlgo(rounds), 300, p.New(h, 42))
 				if err != nil {
 					t.Fatalf("%s/%s flat: %v", desc, prof, err)
 				}
@@ -147,7 +137,7 @@ func TestShardedByteIdentical(t *testing.T) {
 						par.Set(old)
 						t.Fatalf("%s: %v", name, err)
 					}
-					gotRounds, gotRep, err := se.Run(idf, shardedMixAlgo(rounds), 300, p.New(h, 42))
+					gotRounds, gotRep, err := se.Run(idf, mixAlgo(rounds), 300, p.New(h, 42))
 					par.Set(old)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -190,8 +180,8 @@ func TestShardedImplicitMatchesMaterialised(t *testing.T) {
 		}
 		n := h.G.N()
 		ids, idf := diffIDs(n)
-		e := NewWordEngine(h)
-		wantCol, wantRounds, _, err := e.RunStates(ids, flatMixAlgo(rounds), 300, nil)
+		e := NewEngine(h)
+		wantCol, wantRounds, _, err := e.RunStates(ids, mixAlgo(rounds), 300, nil)
 		if err != nil {
 			t.Fatalf("%s flat: %v", desc, err)
 		}
@@ -200,7 +190,7 @@ func TestShardedImplicitMatchesMaterialised(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", desc, shards, err)
 			}
-			gotRounds, _, err := se.Run(idf, shardedMixAlgo(rounds), 300, nil)
+			gotRounds, _, err := se.Run(idf, mixAlgo(rounds), 300, nil)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", desc, shards, err)
 			}
@@ -250,9 +240,9 @@ func TestShardedExchangeLetterOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			fail := make(chan string, 1)
-			algo := ShardedWordAlgo{
+			algo := WordAlgo{
 				Init: func(v int64, info NodeInfo) uint64 { return uint64(v) },
-				Step: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+				Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 					v := *state
 					if round == 0 {
 						out.BroadcastWord(v + 1)
@@ -298,14 +288,14 @@ func TestShardedErrorParity(t *testing.T) {
 	src := SourceOf(h)
 
 	flatErr := func(algo WordAlgo) string {
-		e := NewWordEngine(h)
+		e := NewEngine(h)
 		_, _, _, err := e.RunStates(nil, algo, 8, nil)
 		if err == nil {
 			return ""
 		}
 		return err.Error()
 	}
-	shardedErr := func(p int, algo ShardedWordAlgo) string {
+	shardedErr := func(p int, algo WordAlgo) string {
 		se, err := NewShardedEngine(src, p)
 		if err != nil {
 			t.Fatal(err)
@@ -319,12 +309,12 @@ func TestShardedErrorParity(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		flat    func(state *uint64, round int, inbox []WordMsg, out WordSender) bool
+		flat    func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool
 		substrs []string
 	}{
 		{
 			name: "absent slot",
-			flat: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+			flat: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 				out.SendWord(99, 1)
 				return true
 			},
@@ -332,7 +322,7 @@ func TestShardedErrorParity(t *testing.T) {
 		},
 		{
 			name: "double send",
-			flat: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+			flat: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 				out.SendWord(0, 1)
 				out.SendWord(0, 2)
 				return true
@@ -341,7 +331,7 @@ func TestShardedErrorParity(t *testing.T) {
 		},
 		{
 			name: "no halt",
-			flat: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+			flat: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 				return false
 			},
 			substrs: []string{"did not halt within 8 rounds"},
@@ -349,7 +339,7 @@ func TestShardedErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := flatErr(WordAlgo{
-			Init: func(v int, info NodeInfo) uint64 { return 0 },
+			Init: func(v int64, info NodeInfo) uint64 { return 0 },
 			Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 				return tc.flat(state, round, inbox, out)
 			},
@@ -364,7 +354,7 @@ func TestShardedErrorParity(t *testing.T) {
 			}
 		}
 		for _, p := range []int{1, 2, 8} {
-			got := shardedErr(p, ShardedWordAlgo{
+			got := shardedErr(p, WordAlgo{
 				Init: func(v int64, info NodeInfo) uint64 { return 0 },
 				Step: tc.flat,
 				Out:  func(state *uint64) Output { return Output{} },
@@ -393,14 +383,14 @@ func TestShardedEngineReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids, idf := diffIDs(h.G.N())
-	e := NewWordEngine(h)
+	e := NewEngine(h)
 	for trial := 0; trial < 3; trial++ {
 		rounds := 5 + trial
-		wantCol, _, _, err := e.RunStates(ids, flatMixAlgo(rounds), 300, nil)
+		wantCol, _, _, err := e.RunStates(ids, mixAlgo(rounds), 300, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := se.Run(idf, shardedMixAlgo(rounds), 300, nil); err != nil {
+		if _, _, err := se.Run(idf, mixAlgo(rounds), 300, nil); err != nil {
 			t.Fatal(err)
 		}
 		se.VisitStates(func(v int64, st uint64) {
@@ -444,7 +434,7 @@ func TestShardedStats(t *testing.T) {
 	if xout != 8 {
 		t.Fatalf("total exchange slots %d, want 8", xout)
 	}
-	if _, _, err := se.Run(nil, shardedMixAlgo(3), 300, nil); err != nil {
+	if _, _, err := se.Run(nil, mixAlgo(3), 300, nil); err != nil {
 		t.Fatal(err)
 	}
 	exchanged := int64(0)
@@ -485,6 +475,21 @@ func TestShardedConstructionGuards(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, func() { NewShardedEngine(big, 1<<30) }); allocs > 8 {
 		t.Fatalf("rejecting P=2^30 allocated %v times", allocs)
+	}
+	// A shard range past the int32 per-shard node capacity is rejected
+	// before anything is allocated, at P=1 and P=2 alike (2^32+100
+	// nodes once wrapped to a 200-slot plane).
+	huge, err := host.ParseShard("dcycle:4294967396")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		if _, err := NewShardedEngine(huge, p); err == nil || !strings.Contains(err.Error(), "raise the shard count") {
+			t.Fatalf("P=%d over 2^32+100 nodes: err %v, want raise the shard count", p, err)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { NewShardedEngine(huge, p) }); allocs > 8 {
+			t.Fatalf("rejecting P=%d over 2^32+100 nodes allocated %v times", p, allocs)
+		}
 	}
 }
 

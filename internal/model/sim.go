@@ -42,10 +42,8 @@ type RoundAlgo struct {
 	Out func(state any) Output
 }
 
-// RunRoundsStates runs a round algorithm on the host through the
-// reference loop and returns the final per-node states and the number
-// of rounds. In the ID model pass per-node identifiers; pass nil for
-// anonymous (PO) execution.
+// RunRoundsStates is RunRoundsReference under its older name.
+// Perfbench only.
 func RunRoundsStates(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
 	return RunRoundsReference(h, ids, algo, maxRounds)
 }
@@ -219,7 +217,7 @@ type gatherScratch struct {
 // own slot, and the interned constructors are concurrency-safe), so
 // the result is byte-identical to the sequential simulation — a
 // property the differential tests pin down against both
-// RunRoundsStates and per-node view.Build.
+// RunRoundsReference and per-node view.Build.
 func GatheredTrees(h *Host, r int) ([]*view.Tree, error) {
 	levels, err := GatheredTreesAll(h, r)
 	if err != nil {
@@ -298,42 +296,42 @@ func SimulatePO(h *Host, alg PO, kind Kind) (*Solution, error) {
 	return sol, nil
 }
 
-// gatherState is the per-node state of Gather: the node's column
-// index and its letter-sorted slot letters. The view trees themselves
-// live in the run's tree columns, not in the state.
-type gatherState struct {
-	v       int32
-	letters []view.Letter
-}
-
 // gatherAlgo is GatherViews on the word lane. A tree does not fit in a
-// word, so the lane carries column handles: each message word is the
-// sender's node index, and the hash-consed trees live in two
-// round-parity columns (the round-r assembly reads trees[r&1], which
-// round r-1's senders wrote, and publishes into trees[(r+1)&1];
-// distinct parities keep same-round reads and writes on different
-// arrays, so workers never race). final[v] tracks node v's latest
-// assembled view for extraction after the run. Assembly order,
-// duplicate-letter dedup and the starved-inbox stale-view rule mirror
-// GatherViews exactly, which the differential tests pin down.
-func gatherAlgo(n, r int) (TypedAlgo[gatherState], []*view.Tree) {
+// word, so the lane carries column handles: each node's state word and
+// each message word is the node's global index, and the algorithm
+// keeps everything else in its own per-node columns — the letter rows
+// (copied from Init's scratch into one flat column), two round-parity
+// tree columns (the round-r assembly reads trees[r&1], which round
+// r-1's senders wrote, and publishes into trees[(r+1)&1]; distinct
+// parities keep same-round reads and writes on different arrays, so
+// workers never race), and final[v], node v's latest assembled view for
+// extraction after the run. Assembly order, duplicate-letter dedup and
+// the starved-inbox stale-view rule mirror GatherViews exactly, which
+// the differential tests pin down.
+func gatherAlgo(n, slots int64, r int) (WordAlgo, []*view.Tree) {
 	var trees [2][]*view.Tree
 	trees[0] = make([]*view.Tree, n)
 	trees[1] = make([]*view.Tree, n)
 	final := make([]*view.Tree, n)
-	algo := TypedAlgo[gatherState]{
-		Init: func(v int, info NodeInfo) gatherState {
+	letters := make([]view.Letter, 0, slots)
+	loff := make([]int64, n+1)
+	algo := WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			letters = append(letters, info.Letters...)
+			loff[v+1] = int64(len(letters))
 			final[v] = view.Leaf()
-			return gatherState{v: int32(v), letters: info.Letters}
+			return uint64(v)
 		},
-		Step: func(st *gatherState, round int, inbox []WordMsg, out *Outbox) bool {
-			t := final[st.v]
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			v := *st
+			t := final[v]
 			if round > 0 && len(inbox) > 0 {
 				cur := trees[round&1]
+				ls := letters[loff[v]:loff[v+1]]
 				children := make([]view.Child, 0, len(inbox))
 				for _, m := range inbox {
 					// Duplicated deliveries repeat a slot; keep the first.
-					l := st.letters[m.Slot]
+					l := ls[m.Slot]
 					dup := false
 					for _, c := range children {
 						if c.L == l {
@@ -346,16 +344,16 @@ func gatherAlgo(n, r int) (TypedAlgo[gatherState], []*view.Tree) {
 					}
 				}
 				t = view.NewTree(children)
-				final[st.v] = t
+				final[v] = t
 			}
 			if round >= r {
 				return true
 			}
-			trees[(round+1)&1][st.v] = t
-			out.BroadcastWord(uint64(st.v))
+			trees[(round+1)&1][v] = t
+			out.BroadcastWord(v)
 			return false
 		},
-		Out: func(*gatherState) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
 	return algo, final
 }
@@ -370,11 +368,14 @@ func gatherAlgo(n, r int) (TypedAlgo[gatherState], []*view.Tree) {
 // transiently down, since a down node halts only at its first up
 // round at or after the radius. The run polls e's context at every
 // round barrier. The trees live outside the engine's state column, so
-// a gather run cannot be checkpointed: arming e with a Checkpointer
-// makes it fail.
+// a gather run cannot be checkpointed or resumed: an engine armed with
+// a Checkpointer or a snapshot is refused.
 func Gather(e *Engine, r, maxRounds int, sched Schedule) ([]*view.Tree, int, *FaultReport, error) {
-	algo, final := gatherAlgo(e.n, r)
-	_, rounds, rep, err := TypedOn[gatherState](e).RunStates(nil, algo, maxRounds, sched)
+	if e.ck != nil || e.resume != nil {
+		return nil, 0, nil, fmt.Errorf("model: gather keeps its views outside the state column and cannot be checkpointed or resumed")
+	}
+	algo, final := gatherAlgo(e.n, e.slots, r)
+	rounds, rep, err := e.Run(nil, algo, maxRounds, sched)
 	if err != nil {
 		return nil, 0, nil, err
 	}

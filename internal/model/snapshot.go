@@ -1,7 +1,9 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/ckpt"
@@ -29,10 +31,11 @@ import (
 // runs are strictly below its tick, so a restored message can never
 // be confused with a leftover one.
 //
-// Codecs. Payloads are lane words and need no codec. States are either
-// encoded by the TypedAlgo's EncodeState/DecodeState or — for the
-// uint64 word instantiation that every packed workload uses — by the
-// fixed-width little-endian default.
+// Coordinates. Snapshots are written in global coordinates — global
+// node order for the bitsets and the state column, global slot indices
+// for the pending messages — which are the same at every shard count,
+// so a snapshot taken at one P resumes at any other. States are the
+// fixed-width little-endian state words; payloads are lane words.
 
 // SnapshotKind is the ckpt container kind of an encoded engine
 // Snapshot.
@@ -43,9 +46,9 @@ const snapshotVersion = 1
 
 // Snapshot is a run's resumable state at a round barrier. It is
 // produced by a Checkpointer sink, serialised with Encode, and
-// consumed (once) by Engine.Resume or TypedEngine.Resume. All fields
-// are deterministic functions of the run's state — no timestamps, no
-// map order — so equal run states encode to equal bytes.
+// consumed (once) by Engine.Resume. All fields are deterministic
+// functions of the run's state — no timestamps, no map order — so equal
+// run states encode to equal bytes.
 type Snapshot struct {
 	// Faulty records whether the run executed under a fault schedule.
 	Faulty bool
@@ -70,8 +73,8 @@ type Snapshot struct {
 	// in increasing slot order; Words carries their payloads.
 	Pending []int32
 	Words   []uint64
-	// States is the encoded state column (per-node encodings
-	// concatenated in increasing node order).
+	// States is the state column: one little-endian uint64 per node in
+	// increasing node order.
 	States []byte
 
 	// consumed rejects resuming one in-memory snapshot twice: the
@@ -216,10 +219,8 @@ func (ck *Checkpointer) due(nextRound int) bool {
 }
 
 // WithCheckpoints arms barrier checkpointing for this engine's
-// subsequent runs (clean and faulty alike — the hook lives in
-// runCore). The run errors up front if the algorithm lacks
-// the codecs checkpointing needs. A nil ck disarms. Returns e for
-// chaining.
+// subsequent runs (clean and faulty alike — the hook lives in the
+// round loop). A nil ck disarms. Returns e for chaining.
 func (e *Engine) WithCheckpoints(ck *Checkpointer) *Engine {
 	e.ck = ck
 	return e
@@ -231,66 +232,58 @@ func (e *Engine) WithCheckpoints(ck *Checkpointer) *Engine {
 // original run did), then states, halt/crash bitsets, pending
 // messages and fault counters are restored from the snapshot and the
 // round loop starts at snap.Round. The snapshot must match the run it
-// is applied to (plane geometry, clean/faulty) and is
-// consumed: resuming one snapshot twice is rejected. Returns e for
-// chaining.
+// is applied to (node and slot counts, clean/faulty), at any shard
+// count, and is consumed: resuming one snapshot twice is rejected.
+// Returns e for chaining.
 func (e *Engine) Resume(snap *Snapshot) *Engine {
 	e.resume = snap
 	return e
 }
 
-// Resume is Engine.Resume for a typed engine's next run. Returns te
-// for chaining.
-func (te *TypedEngine[S]) Resume(snap *Snapshot) *TypedEngine[S] {
-	te.e.resume = snap
-	return te
-}
-
-// WithCheckpoints is Engine.WithCheckpoints for a typed engine.
-// Returns te for chaining.
-func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
-	te.e.ck = ck
-	return te
-}
-
 // snapshotAt builds the Snapshot for the barrier entering nextRound
-// and hands it to the checkpointer's sink. It runs on the master
-// goroutine between rounds (after the barrier's wg.Wait and worklist
-// compaction), so every field it reads is quiescent.
-func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Outbox) error {
+// and hands it to the checkpointer's sink. counts carries the run's
+// accumulated fault counters. It runs on the master goroutine between
+// rounds (after the barrier's drain and worklist compaction, so every
+// exchanged word is in its destination arena), and every field it
+// reads is quiescent.
+func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, counts FaultReport) error {
+	if e.n > math.MaxInt32 || e.slots > math.MaxInt32 {
+		return fmt.Errorf("model: checkpoint at round %d: n=%d and %d slots exceed the int32 snapshot coordinates", nextRound, e.n, e.slots)
+	}
 	snap := &Snapshot{
 		Faulty: sched != nil,
-		N:      e.n,
-		Slots:  len(e.letters),
+		N:      int(e.n),
+		Slots:  int(e.slots),
 		Round:  nextRound,
-		Halted: append([]bool(nil), e.halted...),
+		Halted: make([]bool, 0, e.n),
+		States: make([]byte, 0, 8*e.n),
 	}
 	if sched != nil {
-		snap.Crashed = append([]bool(nil), e.crashed...)
-		snap.Dropped = e.repBase.Dropped
-		snap.Duplicated = e.repBase.Duplicated
-		snap.Reordered = e.repBase.Reordered
-		snap.DownSteps = e.repBase.DownSteps
-		for _, ob := range obs {
-			snap.Dropped += ob.dropped
-			snap.Duplicated += ob.duped
-			snap.Reordered += ob.reordered
-			snap.DownSteps += ob.downSteps
-		}
+		snap.Crashed = make([]bool, 0, e.n)
+		snap.Dropped = counts.Dropped
+		snap.Duplicated = counts.Duplicated
+		snap.Reordered = counts.Reordered
+		snap.DownSteps = counts.DownSteps
 	}
 	// Messages for round nextRound live in arena nextRound&1, stamped
 	// base+nextRound+1 (the writing round's want was curWant+1).
 	arena := nextRound & 1
 	want := base + int64(nextRound) + 1
-	st := e.stamp[arena]
-	for s := range st {
-		if st[s] != want {
-			continue
+	for _, sh := range e.shards {
+		snap.Halted = append(snap.Halted, sh.halted...)
+		if sched != nil {
+			snap.Crashed = append(snap.Crashed, sh.crashed...)
 		}
-		snap.Pending = append(snap.Pending, int32(s))
-		snap.Words = append(snap.Words, e.wbuf[arena][s])
+		for s, st := range sh.stamp[arena][:sh.off[sh.n]] {
+			if st == want {
+				snap.Pending = append(snap.Pending, int32(sh.slotBase)+int32(s))
+				snap.Words = append(snap.Words, sh.wbuf[arena][s])
+			}
+		}
+		for _, w := range sh.col {
+			snap.States = binary.LittleEndian.AppendUint64(snap.States, w)
+		}
 	}
-	snap.States = e.ckEncStates(nil)
 	if e.ck.Sink == nil {
 		return nil
 	}
@@ -300,63 +293,71 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Ou
 	return nil
 }
 
-// restoreCommon validates a snapshot against the run being started and
-// restores the plane-level state every path shares: halt/crash
-// bitsets, pending-slot stamps (re-based on this engine's tick), the
-// resume round and the fault-counter bases. Payload and state-column
-// restoration stay with the caller.
-func (e *Engine) restoreCommon(snap *Snapshot, faulty bool) error {
+// restore validates a snapshot against the run being started and, only
+// once every check has passed, restores it over the freshly
+// initialised plane: halt/crash bitsets, the state column, and the
+// pending words with their stamps re-based on this engine's tick
+// (stale stamps from its earlier runs are strictly below the tick, so
+// a restored message is never confused with a leftover one). It
+// returns the fault-counter bases. A rejected snapshot restores
+// nothing, so the engine stays safe for ordinary runs.
+func (e *Engine) restore(snap *Snapshot, faulty bool) (FaultReport, error) {
 	if snap.consumed {
-		return fmt.Errorf("model: resume: snapshot already resumed (double resume rejected)")
+		return FaultReport{}, fmt.Errorf("model: resume: snapshot already resumed (double resume rejected)")
 	}
 	if snap.Faulty != faulty {
 		if snap.Faulty {
-			return fmt.Errorf("model: resume: snapshot is from a faulty run; pass the same schedule")
+			return FaultReport{}, fmt.Errorf("model: resume: snapshot is from a faulty run; pass the same schedule")
 		}
-		return fmt.Errorf("model: resume: snapshot is from a clean run; drop the schedule")
+		return FaultReport{}, fmt.Errorf("model: resume: snapshot is from a clean run; drop the schedule")
 	}
-	if snap.N != e.n || snap.Slots != len(e.letters) {
-		return fmt.Errorf("model: resume: snapshot geometry (n=%d slots=%d) does not match host (n=%d slots=%d)",
-			snap.N, snap.Slots, e.n, len(e.letters))
+	if int64(snap.N) != e.n || int64(snap.Slots) != e.slots {
+		return FaultReport{}, fmt.Errorf("model: resume: snapshot geometry (n=%d slots=%d) does not match host (n=%d slots=%d)",
+			snap.N, snap.Slots, e.n, e.slots)
 	}
-	if len(snap.Halted) != e.n || (snap.Faulty && len(snap.Crashed) != e.n) {
-		return fmt.Errorf("model: resume: snapshot bitset length mismatch")
+	if len(snap.Halted) != snap.N || (snap.Faulty && len(snap.Crashed) != snap.N) {
+		return FaultReport{}, fmt.Errorf("model: resume: snapshot bitset length mismatch")
+	}
+	if len(snap.States) != 8*snap.N {
+		return FaultReport{}, fmt.Errorf("model: resume: state column is %d bytes (want %d)", len(snap.States), 8*snap.N)
+	}
+	if len(snap.Words) != len(snap.Pending) {
+		return FaultReport{}, fmt.Errorf("model: resume: %d payload words for %d pending slots", len(snap.Words), len(snap.Pending))
+	}
+	for i, s := range snap.Pending {
+		if s < 0 || int64(s) >= e.slots || (i > 0 && s < snap.Pending[i-1]) {
+			return FaultReport{}, fmt.Errorf("model: resume: pending slot %d out of range or order", s)
+		}
 	}
 	snap.consumed = true
-	copy(e.halted, snap.Halted)
-	if snap.Faulty {
-		if e.crashed == nil {
-			e.crashed = make([]bool, e.n)
+	for _, sh := range e.shards {
+		copy(sh.halted, snap.Halted[sh.lo:sh.hi])
+		if snap.Faulty {
+			if sh.crashed == nil {
+				sh.crashed = make([]bool, sh.n)
+			}
+			copy(sh.crashed, snap.Crashed[sh.lo:sh.hi])
 		}
-		copy(e.crashed, snap.Crashed)
+		for v := range sh.col {
+			sh.col[v] = binary.LittleEndian.Uint64(snap.States[8*(sh.lo+int64(v)):])
+		}
 	}
 	arena := snap.Round & 1
 	want := e.tick + int64(snap.Round) + 1
-	for _, s := range snap.Pending {
-		e.stamp[arena][s] = want
+	j := 0 // pending slots are increasing, so their shards are too
+	for i, s := range snap.Pending {
+		for int64(s) >= e.shards[j].slotBase+int64(len(e.shards[j].dest)) {
+			j++
+		}
+		sh := e.shards[j]
+		local := int64(s) - sh.slotBase
+		sh.stamp[arena][local] = want
+		sh.wbuf[arena][local] = snap.Words[i]
 	}
-	e.resumeFrom = snap.Round
-	e.repBase = FaultReport{
+	return FaultReport{
 		Dropped:    snap.Dropped,
 		Duplicated: snap.Duplicated,
 		Reordered:  snap.Reordered,
 		DownSteps:  snap.DownSteps,
-	}
-	return nil
-}
-
-// failedResume rolls back a partially applied restore so the engine
-// is safe for ordinary runs again: the resume cursor and report bases
-// are cleared and any restored stamps are zeroed (0 is never a live
-// want, which is base+round+1 >= 1).
-func (e *Engine) failedResume(snap *Snapshot) {
-	e.resumeFrom = -1
-	e.repBase = FaultReport{}
-	arena := snap.Round & 1
-	st := e.stamp[arena]
-	for _, s := range snap.Pending {
-		if int(s) < len(st) {
-			st[s] = 0
-		}
-	}
+	}, nil
 }

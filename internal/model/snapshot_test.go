@@ -13,63 +13,15 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/host"
 	"repro/internal/par"
 )
 
-// snapFloodState is the codec-checkpointed flood state: id is static
-// context reconstructed by Init on resume; best and ticks are the
-// dynamic fields the codec carries.
-type snapFloodState struct {
-	id    int
-	best  int
-	ticks int
-}
-
-// snapFloodAlgo is the flood workload with an explicit state codec
-// (two varints per node), exercising the non-default path of
-// EncodeState/DecodeState.
-func snapFloodAlgo() TypedAlgo[snapFloodState] {
-	return TypedAlgo[snapFloodState]{
-		Init: func(v int, info NodeInfo) snapFloodState {
-			return snapFloodState{id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
-		},
-		Step: func(s *snapFloodState, round int, inbox []WordMsg, out *Outbox) bool {
-			for _, m := range inbox {
-				s.best = max(s.best, int(m.W))
-			}
-			if s.ticks == 0 {
-				return true
-			}
-			s.ticks--
-			out.BroadcastWord(uint64(s.best))
-			return false
-		},
-		Out: func(s *snapFloodState) Output { return Output{Member: s.best > s.id} },
-		EncodeState: func(dst []byte, s *snapFloodState) []byte {
-			dst = binary.AppendVarint(dst, int64(s.best))
-			return binary.AppendVarint(dst, int64(s.ticks))
-		},
-		DecodeState: func(src []byte, s *snapFloodState) ([]byte, error) {
-			best, n := binary.Varint(src)
-			if n <= 0 {
-				return nil, fmt.Errorf("bad best")
-			}
-			ticks, m := binary.Varint(src[n:])
-			if m <= 0 {
-				return nil, fmt.Errorf("bad ticks")
-			}
-			s.best, s.ticks = int(best), int(ticks)
-			return src[n+m:], nil
-		},
-	}
-}
-
-// snapWordAlgo is the typed flood twin: state packs best<<8 | ticks
-// in one word (so the default uint64 codec applies), messages carry
-// the packed state.
+// snapWordAlgo is the checkpointed flood workload: state packs
+// best<<8 | ticks in one word, messages carry the packed state.
 func snapWordAlgo() WordAlgo {
 	return WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 {
+		Init: func(v int64, info NodeInfo) uint64 {
 			return uint64(info.ID)<<8 | uint64(1+info.ID%4)
 		},
 		Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
@@ -109,58 +61,86 @@ func snapSink(dst map[int][]byte) *Checkpointer {
 	}}
 }
 
-// TestSnapshotResumeTypedCodec pins the codec resume byte-identical:
-// for every host, clean and under two fault profiles, resuming from
-// each checkpoint round reproduces the uninterrupted run's final
-// states, round count, fault report AND every later checkpoint's
-// encoded bytes (content addressing makes that last check equivalent
-// to whole-state equality at every subsequent barrier).
-func TestSnapshotResumeTypedCodec(t *testing.T) {
+// TestSnapshotResumeAcrossShards: snapshots are written in global
+// coordinates, so a checkpoint taken at one shard count resumes at
+// another. For every host, clean and under two fault profiles, a run
+// at P=1 checkpoints every round and each checkpoint resumes at P=3,
+// and the reverse; the resumed run must reproduce the uninterrupted
+// run's final states, round count, fault report AND every later
+// checkpoint's encoded bytes (content addressing makes that last check
+// equivalent to whole-state equality at every subsequent barrier).
+func TestSnapshotResumeAcrossShards(t *testing.T) {
 	defer par.Set(par.Set(4))
-	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
-		for name, h := range snapHosts() {
-			n := h.G.N()
-			ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
+	hosts := snapHosts()
+	src, err := host.ParseShard("torus:5x5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hosts["implicit-torus5x5"], err = MaterializeSource(src); err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range hosts {
+		plane := func(p int) *Engine {
+			if p == 1 {
+				return NewEngine(h)
+			}
+			e, err := NewShardedEngine(SourceOf(h), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		if name == "implicit-torus5x5" {
+			plane = func(p int) *Engine {
+				e, err := NewShardedEngine(src, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+		}
+		n := h.G.N()
+		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
+		for _, prof := range []string{"", "lossy:p=0.3", "crash:f=5,by=2"} {
 			var sched Schedule
 			if prof != "" {
 				sched = MustParseProfile(prof).New(h, 99)
 			}
-			control := map[int][]byte{}
-			e1 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(control))
-			states1, rounds1, rep1, err := e1.RunStates(ids, snapFloodAlgo(), 64, sched)
-			if err != nil {
-				t.Fatalf("%s/%s: control: %v", name, prof, err)
-			}
-			sum1 := append([]snapFloodState(nil), states1...)
-			if len(control) == 0 {
-				t.Fatalf("%s/%s: control run took no checkpoints", name, prof)
-			}
-			for k, payload := range control {
-				snap, err := DecodeSnapshot(payload)
+			for _, pq := range [][2]int{{1, 3}, {3, 1}} {
+				from, to := pq[0], pq[1]
+				tag := fmt.Sprintf("%s/%q/P=%d->%d", name, prof, from, to)
+				control := map[int][]byte{}
+				col1, rounds1, rep1, err := plane(from).WithCheckpoints(snapSink(control)).RunStates(ids, snapWordAlgo(), 64, sched)
 				if err != nil {
-					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
+					t.Fatalf("%s: control: %v", tag, err)
 				}
-				resumed := map[int][]byte{}
-				e2 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(resumed)).Resume(snap)
-				states2, rounds2, rep2, err := e2.RunStates(ids, snapFloodAlgo(), 64, sched)
-				if err != nil {
-					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
+				final1 := append([]uint64(nil), col1...)
+				if len(control) == 0 {
+					t.Fatalf("%s: control run took no checkpoints", tag)
 				}
-				if rounds2 != rounds1 {
-					t.Errorf("%s/%s: resume from %d: %d rounds (control %d)", name, prof, k, rounds2, rounds1)
-				}
-				if !reflect.DeepEqual(states2, sum1) {
-					t.Errorf("%s/%s: resume from %d: final states differ", name, prof, k)
-				}
-				if !reflect.DeepEqual(rep1, rep2) {
-					t.Errorf("%s/%s: resume from %d: fault report differs:\n  control %+v\n  resumed %+v", name, prof, k, rep1, rep2)
-				}
-				for j, want := range control {
-					if j <= k {
-						continue
+				for k, payload := range control {
+					snap, err := DecodeSnapshot(payload)
+					if err != nil {
+						t.Fatalf("%s: decode round %d: %v", tag, k, err)
 					}
-					if got, ok := resumed[j]; !ok || string(got) != string(want) {
-						t.Errorf("%s/%s: resume from %d: checkpoint at %d not byte-identical to control (present=%v)", name, prof, k, j, ok)
+					resumed := map[int][]byte{}
+					col2, rounds2, rep2, err := plane(to).WithCheckpoints(snapSink(resumed)).Resume(snap).RunStates(ids, snapWordAlgo(), 64, sched)
+					if err != nil {
+						t.Fatalf("%s: resume from %d: %v", tag, k, err)
+					}
+					if rounds2 != rounds1 || !reflect.DeepEqual(col2, final1) {
+						t.Errorf("%s: resume from %d: rounds %d (control %d) or final states differ", tag, k, rounds2, rounds1)
+					}
+					if !reflect.DeepEqual(rep1, rep2) {
+						t.Errorf("%s: resume from %d: fault report differs:\n  control %+v\n  resumed %+v", tag, k, rep1, rep2)
+					}
+					for j, want := range control {
+						if j <= k {
+							continue
+						}
+						if got, ok := resumed[j]; !ok || string(got) != string(want) {
+							t.Errorf("%s: resume from %d: checkpoint at %d not byte-identical to control (present=%v)", tag, k, j, ok)
+						}
 					}
 				}
 			}
@@ -168,8 +148,10 @@ func TestSnapshotResumeTypedCodec(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeTyped is the packed twin, exercising the default
-// uint64 state codec.
+// TestSnapshotResumeTyped pins resume on the single-shard plane: from
+// every checkpoint round, clean and under two fault profiles, the
+// resumed run reproduces the control's column, rounds, report and
+// later checkpoint bytes.
 func TestSnapshotResumeTyped(t *testing.T) {
 	defer par.Set(par.Set(4))
 	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
@@ -181,7 +163,7 @@ func TestSnapshotResumeTyped(t *testing.T) {
 				sched = MustParseProfile(prof).New(h, 99)
 			}
 			control := map[int][]byte{}
-			e1 := NewWordEngine(h).WithCheckpoints(snapSink(control))
+			e1 := NewEngine(h).WithCheckpoints(snapSink(control))
 			col1, rounds1, rep1, err := e1.RunStates(ids, snapWordAlgo(), 64, sched)
 			if err != nil {
 				t.Fatalf("%s/%s: control: %v", name, prof, err)
@@ -196,7 +178,7 @@ func TestSnapshotResumeTyped(t *testing.T) {
 					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
 				}
 				resumed := map[int][]byte{}
-				e2 := NewWordEngine(h).WithCheckpoints(snapSink(resumed)).Resume(snap)
+				e2 := NewEngine(h).WithCheckpoints(snapSink(resumed)).Resume(snap)
 				col2, rounds2, rep2, err := e2.RunStates(ids, snapWordAlgo(), 64, sched)
 				if err != nil {
 					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
@@ -229,7 +211,7 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
 
-	e1 := NewWordEngine(h)
+	e1 := NewEngine(h)
 	col1, rounds1, _, err := e1.RunStates(ids, snapWordAlgo(), 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +229,8 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 		cancel()
 		return nil
 	}}
-	e2 := NewWordEngine(h)
-	e2.Engine().WithContext(ctx)
+	e2 := NewEngine(h)
+	e2.WithContext(ctx)
 	e2.WithCheckpoints(ck)
 	ck.RequestNow()
 	if _, _, _, err := e2.RunStates(ids, snapWordAlgo(), 64, nil); err == nil {
@@ -263,7 +245,7 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e3 := NewWordEngine(h).Resume(snap)
+	e3 := NewEngine(h).Resume(snap)
 	col3, rounds3, _, err := e3.RunStates(ids, snapWordAlgo(), 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -281,24 +263,24 @@ func TestSnapshotDoubleResumeRejected(t *testing.T) {
 	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
 	var snaps []*Snapshot
 	ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { snaps = append(snaps, s); return nil }}
-	if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
+	if _, _, _, err := NewEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) == 0 {
 		t.Fatal("no checkpoints")
 	}
 	snap := snaps[0]
-	if _, _, _, err := NewWordEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
+	if _, _, _, err := NewEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 		t.Fatalf("first resume: %v", err)
 	}
-	if _, _, _, err := NewWordEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64, nil); err == nil {
+	if _, _, _, err := NewEngine(h).Resume(snap).RunStates(ids, snapWordAlgo(), 64, nil); err == nil {
 		t.Fatal("second resume of one snapshot accepted")
 	}
 }
 
 // TestSnapshotMismatchRejected: a snapshot only resumes the run shape
-// it was taken from — state encoding, schedule presence and host
-// geometry are all validated.
+// it was taken from — the algorithm's use of the state column,
+// schedule presence and host geometry are all validated.
 func TestSnapshotMismatchRejected(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
 	n := h.G.N()
@@ -306,30 +288,30 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	grab := func() *Snapshot {
 		var snaps []*Snapshot
 		ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { snaps = append(snaps, s); return nil }}
-		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
+		if _, _, _, err := NewEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 			t.Fatal(err)
 		}
 		return snaps[0]
 	}
 
-	// Default-codec snapshot into a run with its own state codec.
-	if _, _, _, err := NewTypedEngine[snapFloodState](h).Resume(grab()).RunStates(ids, snapFloodAlgo(), 64, nil); err == nil {
-		t.Error("word-column snapshot accepted by a codec run")
+	// A gather run keeps its views outside the state column.
+	if _, _, _, err := Gather(NewEngine(h).Resume(grab()), 2, 4, nil); err == nil || !strings.Contains(err.Error(), "cannot be checkpointed") {
+		t.Errorf("snapshot accepted by a gather run: %v", err)
 	}
 	// Clean snapshot into a faulty run.
 	sched := MustParseProfile("lossy:p=0.2").New(h, 99)
-	if _, _, _, err := NewWordEngine(h).Resume(grab()).RunStates(ids, snapWordAlgo(), 64, sched); err == nil {
+	if _, _, _, err := NewEngine(h).Resume(grab()).RunStates(ids, snapWordAlgo(), 64, sched); err == nil {
 		t.Error("clean snapshot accepted by faulty run")
 	}
 	// Wrong host geometry.
 	h2 := HostFromGraph(graph.Torus(8, 8))
 	n2 := h2.G.N()
 	ids2 := rand.New(rand.NewSource(5)).Perm(4 * n2)[:n2]
-	if _, _, _, err := NewWordEngine(h2).Resume(grab()).RunStates(ids2, snapWordAlgo(), 64, nil); err == nil {
+	if _, _, _, err := NewEngine(h2).Resume(grab()).RunStates(ids2, snapWordAlgo(), 64, nil); err == nil {
 		t.Error("snapshot accepted by mismatched host")
 	}
 	// A failed resume must not poison the engine for an ordinary run.
-	e := NewWordEngine(h2)
+	e := NewEngine(h2)
 	if _, _, _, err := e.Resume(grab()).RunStates(ids2, snapWordAlgo(), 64, nil); err == nil {
 		t.Fatal("mismatched resume accepted")
 	}
@@ -345,7 +327,7 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
 	var payload []byte
 	ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { payload = s.Encode(); return nil }}
-	if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
+	if _, _, _, err := NewEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeSnapshot(payload); err != nil {
@@ -369,7 +351,7 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 func TestSnapshotCheckpointIdleAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	te := NewWordEngine(h).WithCheckpoints(&Checkpointer{Every: 1 << 30})
+	te := NewEngine(h).WithCheckpoints(&Checkpointer{Every: 1 << 30})
 	runFor := func(rounds int) func() {
 		return func() {
 			if _, _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2, nil); err != nil {
@@ -458,7 +440,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			sched = MustParseProfile(prof).New(h, 99)
 		}
 		ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error { f.Add(s.Encode()); return nil }}
-		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, sched); err != nil {
+		if _, _, _, err := NewEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, sched); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -496,7 +478,7 @@ func TestSnapshotTypedBytesPinned(t *testing.T) {
 			sum.Write(s.Encode())
 			return nil
 		}}
-		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, sched); err != nil {
+		if _, _, _, err := NewEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64, sched); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {

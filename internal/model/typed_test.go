@@ -13,23 +13,29 @@ import (
 )
 
 // floodTypedState mirrors floodMaxAlgo's boxed state as a column
-// entry (a non-trivial S exercising the generic path).
+// entry wider than a word: the algorithm keeps it in its own per-node
+// column and the state word is the node index (the column-handle form
+// Gather uses).
 type floodTypedState struct {
 	id    int32
 	best  int32
 	ticks int32
 }
 
-// floodTypedAlgo is floodMaxAlgo on the typed plane: same staggered
-// halting, same flood-the-best-id traffic, with the id riding the
-// word lane. Outputs must match the reference algorithm byte for byte.
-func floodTypedAlgo() TypedAlgo[floodTypedState] {
-	return TypedAlgo[floodTypedState]{
-		Init: func(v int, info NodeInfo) floodTypedState {
+// floodTypedAlgo is floodMaxAlgo in the column-handle form: same
+// staggered halting, same flood-the-best-id traffic, with the id
+// riding the word lane. Outputs must match the reference algorithm
+// byte for byte.
+func floodTypedAlgo(n int) WordAlgo {
+	col := make([]floodTypedState, n)
+	return WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
 			id := int32(info.ID)
-			return floodTypedState{id: id, best: id, ticks: 1 + id%4}
+			col[v] = floodTypedState{id: id, best: id, ticks: 1 + id%4}
+			return uint64(v)
 		},
-		Step: func(s *floodTypedState, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			s := &col[*st]
 			for _, m := range inbox {
 				if v := int32(m.W); v > s.best {
 					s.best = v
@@ -42,14 +48,15 @@ func floodTypedAlgo() TypedAlgo[floodTypedState] {
 			out.BroadcastWord(uint64(s.best))
 			return false
 		},
-		Out: func(s *floodTypedState) Output {
-			return Output{Member: s.best > s.id}
+		Out: func(st *uint64) Output {
+			return Output{Member: col[*st].best > col[*st].id}
 		},
 	}
 }
 
-// TestTypedDifferentialFlood pins the generic-state engine against the
-// sequential reference: identical outputs and round counts on every
+// TestTypedDifferentialFlood pins the column-handle flood (state wider
+// than a word, in the algorithm's own column) against the sequential
+// reference: identical outputs and round counts on every
 // differential host, at parallelism 1 and 8.
 func TestTypedDifferentialFlood(t *testing.T) {
 	for name, h := range engineHosts(t) {
@@ -58,7 +65,7 @@ func TestTypedDifferentialFlood(t *testing.T) {
 		refOuts, refRounds := referenceOutputs(t, h, ids)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, _, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16, nil)
+			outs, rounds, _, err := RunRoundsWord(h, ids, floodTypedAlgo(n), 16, nil)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: typed: %v", name, p, err)
@@ -74,7 +81,7 @@ func TestTypedDifferentialFlood(t *testing.T) {
 }
 
 // TestTypedFaultyFormsAgree: under every profile family, the
-// generic-state flood and its packed uint64 twin degrade identically —
+// column-handle flood and its packed uint64 twin degrade identically —
 // same outputs, same round count, same fault report — because fates
 // are hashes of (seed, round, slot) coordinates, not of the state
 // layout.
@@ -84,13 +91,13 @@ func TestTypedFaultyFormsAgree(t *testing.T) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
 		sched := MustParseProfile(desc).New(h, 99)
-		wOuts, wRounds, wRep, err := RunRoundsTyped(h, ids, floodWordAlgo(), 300, sched)
+		wOuts, wRounds, wRep, err := RunRoundsWord(h, ids, floodWordAlgo(), 300, sched)
 		if err != nil {
 			t.Fatalf("%s: packed: %v", desc, err)
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			tOuts, tRounds, tRep, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 300, sched)
+			tOuts, tRounds, tRep, err := RunRoundsWord(h, ids, floodTypedAlgo(n), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: generic: %v", desc, p, err)
@@ -105,15 +112,15 @@ func TestTypedFaultyFormsAgree(t *testing.T) {
 	}
 }
 
-// TestTypedCleanFaultyPins: a nil schedule through the generic-state
-// typed entry takes the exact clean path — the reference loop's
+// TestTypedCleanFaultyPins: a nil schedule through the column-handle
+// flood takes the exact clean path — the reference loop's
 // outputs and rounds — with the all-zero "clean" report.
 func TestTypedCleanFaultyPins(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(2)).Perm(4 * n)[:n]
 	want, wantRounds := referenceOutputs(t, h, ids)
-	outs, rounds, rep, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16, nil)
+	outs, rounds, rep, err := RunRoundsWord(h, ids, floodTypedAlgo(n), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,38 +142,37 @@ func TestTypedCleanFaultyPins(t *testing.T) {
 func TestTypedInboxSlotRouting(t *testing.T) {
 	defer par.Set(par.Set(8))
 	h := HostFromGraph(graph.Torus(6, 6))
-	type st struct {
-		v       int32
-		letters []view.Letter
-	}
-	algo := TypedAlgo[st]{
-		Init: func(v int, info NodeInfo) st {
+	rows := make([][]view.Letter, h.G.N())
+	algo := WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
 			for i := 1; i < len(info.Letters); i++ {
 				if !info.Letters[i-1].Less(info.Letters[i]) {
-					t.Errorf("node %d: typed info letters not letter-sorted at %d", v, i)
+					t.Errorf("node %d: info letters not letter-sorted at %d", v, i)
 				}
 			}
-			return st{v: int32(v), letters: info.Letters}
+			rows[v] = append([]view.Letter(nil), info.Letters...)
+			return uint64(v)
 		},
-		Step: func(s *st, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: func(s *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			v := int(*s)
 			if round == 1 {
 				for i, m := range inbox {
 					if i > 0 && inbox[i-1].Slot >= m.Slot {
-						t.Errorf("node %d: inbox out of slot order", s.v)
+						t.Errorf("node %d: inbox out of slot order", v)
 					}
-					from, ok := resolveLetter(h, int(s.v), s.letters[m.Slot])
+					from, ok := resolveLetter(h, v, rows[v][m.Slot])
 					if !ok || uint64(from) != m.W {
-						t.Errorf("node %d slot %d: word %d, letter resolves to %d", s.v, m.Slot, m.W, from)
+						t.Errorf("node %d slot %d: word %d, letter resolves to %d", v, m.Slot, m.W, from)
 					}
 				}
 				return true
 			}
-			out.BroadcastWord(uint64(s.v))
+			out.BroadcastWord(*s)
 			return false
 		},
-		Out: func(*st) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, _, err := RunRoundsTyped(h, nil, algo, 4, nil); err != nil {
+	if _, _, _, err := RunRoundsWord(h, nil, algo, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,7 +183,7 @@ func TestTypedErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	badAt := func(round int) WordAlgo {
 		return WordAlgo{
-			Init: func(int, NodeInfo) uint64 { return 0 },
+			Init: func(int64, NodeInfo) uint64 { return 0 },
 			Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 				if r == round {
 					out.SendWord(99, 7)
@@ -189,20 +195,20 @@ func TestTypedErrorFormats(t *testing.T) {
 			Out: func(*uint64) Output { return Output{} },
 		}
 	}
-	_, _, _, err := RunRoundsTyped(h, nil, badAt(2), 6, nil)
+	_, _, _, err := RunRoundsWord(h, nil, badAt(2), 6, nil)
 	want := "model: round 2: node 0 sent on absent slot 99 (node has 2)"
 	if err == nil || err.Error() != want {
 		t.Errorf("clean absent-slot error = %v, want %q", err, want)
 	}
 	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err = RunRoundsTyped(h, nil, badAt(2), 6, sched)
+	_, _, _, err = RunRoundsWord(h, nil, badAt(2), 6, sched)
 	want = "model: round 2 [lossy:p=0]: node 0 sent on absent slot 99 (node has 2)"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty absent-slot error = %v, want %q", err, want)
 	}
 
 	dup := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 			out.SendWord(0, 1)
 			out.SendWord(0, 2)
@@ -210,24 +216,24 @@ func TestTypedErrorFormats(t *testing.T) {
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, _, err = RunRoundsTyped(h, nil, dup, 3, nil)
+	_, _, _, err = RunRoundsWord(h, nil, dup, 3, nil)
 	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0: node ") ||
 		!strings.Contains(err.Error(), "sent twice on slot 0") {
 		t.Errorf("typed double-send error lacks round prefix: %v", err)
 	}
 
 	never := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	_, _, _, err = RunRoundsTyped(h, nil, never, 4, nil)
+	_, _, _, err = RunRoundsWord(h, nil, never, 4, nil)
 	want = "model: node 0 did not halt within 4 rounds"
 	if err == nil || err.Error() != want {
 		t.Errorf("typed non-halt error = %v, want %q", err, want)
 	}
 
-	if _, _, _, err := RunRoundsTyped(h, []int{1, 2}, never, 4, nil); err == nil ||
+	if _, _, _, err := RunRoundsWord(h, []int{1, 2}, never, 4, nil); err == nil ||
 		!strings.Contains(err.Error(), "2 ids for 5 nodes") {
 		t.Errorf("typed ids-length error = %v", err)
 	}
@@ -259,7 +265,7 @@ func TestScratchPreSized(t *testing.T) {
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(4)).Perm(4 * n)[:n]
 	sched := MustParseProfile("dup+reorder:p=1").New(h, 7)
-	outs, rounds, rep, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 300, sched)
+	outs, rounds, rep, err := RunRoundsWord(h, ids, floodTypedAlgo(n), 300, sched)
 	if err != nil {
 		t.Fatalf("all-duplicate run: %v", err)
 	}
@@ -276,7 +282,7 @@ func TestScratchPreSized(t *testing.T) {
 // round count is the whole state.
 func typedPulseAlgo(rounds int) WordAlgo {
 	return WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return uint64(rounds) },
+		Init: func(int64, NodeInfo) uint64 { return uint64(rounds) },
 		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
 			if *st == 0 {
 				return true
@@ -296,7 +302,7 @@ func typedPulseAlgo(rounds int) WordAlgo {
 func TestTypedSteadyStateAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
 	h := HostFromGraph(graph.Cycle(512))
-	te := NewWordEngine(h)
+	te := NewEngine(h)
 	sched := MustParseProfile("lossy:p=0.05").New(h, 11)
 	for _, c := range []struct {
 		name   string
@@ -330,9 +336,9 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 // non-halt) must not poison the shared plane for later typed runs.
 func TestTypedReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
-	te := NewWordEngine(h)
+	te := NewEngine(h)
 	bad := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 			out.SendWord(99, 1)
 			return false
@@ -340,7 +346,7 @@ func TestTypedReuseAfterError(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	never := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
 			out.BroadcastWord(uint64(r))
 			return false
@@ -348,7 +354,7 @@ func TestTypedReuseAfterError(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	h2 := HostFromGraph(graph.Cycle(6))
-	want, _, _, err := NewWordEngine(h2).RunStates(nil, typedPulseAlgo(5), 8, nil)
+	want, _, _, err := NewEngine(h2).RunStates(nil, typedPulseAlgo(5), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

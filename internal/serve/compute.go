@@ -116,7 +116,7 @@ func computeRun(ctx context.Context, hostDesc, algo string, seed int64, faults s
 }
 
 // computeRunSharded is the shards= path of /v1/run: a sharded workload
-// on model.ShardedEngine, generated shard-locally when the family has
+// on an engine from model.NewShardedEngine, generated shard-locally when the family has
 // an implicit source (so descriptors past the flat int32 capacity run
 // in bounded resident memory) and adapted from the materialised host
 // otherwise. The engine registers with the server's shard gauges, so

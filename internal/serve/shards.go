@@ -7,7 +7,7 @@ import (
 )
 
 // shardGauges is the /metrics observability of sharded runs (DESIGN.md
-// §12): engines currently running register themselves so per-shard
+// §7): engines currently running register themselves so per-shard
 // occupancy and exchange volume are readable mid-run, and completed
 // runs fold their exchange totals into the counters and leave a final
 // per-shard snapshot behind.
@@ -17,15 +17,15 @@ type shardGauges struct {
 	// exchanged accumulates cross-shard words delivered over all
 	// completed sharded runs.
 	exchanged int64
-	live      map[*model.ShardedEngine]string
+	live      map[*model.Engine]string
 	last      map[string]any
 }
 
 // track registers a running sharded engine under its host descriptor.
-func (g *shardGauges) track(se *model.ShardedEngine, host string) {
+func (g *shardGauges) track(se *model.Engine, host string) {
 	g.mu.Lock()
 	if g.live == nil {
-		g.live = map[*model.ShardedEngine]string{}
+		g.live = map[*model.Engine]string{}
 	}
 	g.live[se] = host
 	g.mu.Unlock()
@@ -33,7 +33,7 @@ func (g *shardGauges) track(se *model.ShardedEngine, host string) {
 
 // finish deregisters the engine; a completed run also folds its
 // exchange volume into the totals and becomes the last-run snapshot.
-func (g *shardGauges) finish(se *model.ShardedEngine, host string, completed bool) {
+func (g *shardGauges) finish(se *model.Engine, host string, completed bool) {
 	g.mu.Lock()
 	delete(g.live, se)
 	if completed {

@@ -81,9 +81,10 @@ type (
 	Sweeper = order.Sweeper
 	// SearchOptions bounds the homogeneous-construction search.
 	SearchOptions = homog.SearchOptions
-	// Engine is the batched worker-parallel round simulator: a CSR
-	// word-lane message plane sized once from the host's arcs, an
-	// active-set worklist and persistent per-run workers.
+	// Engine is the one round plane: a worker-parallel simulator of
+	// word-lane round algorithms over P contiguous shards (P=1 from a
+	// materialised host's CSR rows, any P from a ShardSource), with
+	// active-set worklists and persistent per-run workers.
 	Engine = model.Engine
 	// RoundAlgo is the classical slice-returning round algorithm that
 	// the reference loop (RunRoundsRef) runs.
@@ -101,18 +102,13 @@ type (
 	FaultProfile = model.Profile
 	// FaultReport tallies the faults a run actually injected.
 	FaultReport = model.FaultReport
-	// TypedAlgo is the typed engine-native round-algorithm form:
-	// states in a columnar []S, payloads on the uint64 word lane,
-	// sends addressed by local slot (DESIGN.md §9).
-	TypedAlgo[S any] = model.TypedAlgo[S]
-	// TypedEngine couples an Engine's message plane with a columnar
-	// state array.
-	TypedEngine[S any] = model.TypedEngine[S]
-	// WordAlgo is the fully packed uint64-state typed algorithm form.
+	// WordAlgo is the one engine-native algorithm form: one uint64
+	// state word per node, payloads on the uint64 word lane, sends
+	// addressed by local slot through the Outbox (DESIGN.md §7).
 	WordAlgo = model.WordAlgo
-	// WordEngine is the uint64-state typed engine.
-	WordEngine = model.WordEngine
-	// WordMsg is one typed inbox entry: payload word + local slot.
+	// Outbox is a worker's send surface: SendWord and BroadcastWord.
+	Outbox = model.Outbox
+	// WordMsg is one inbox entry: payload word + local slot.
 	WordMsg = model.WordMsg
 )
 
@@ -157,10 +153,9 @@ var (
 
 // Hosts and runners. RunRoundsRef is the sequential specification
 // loop; SimulatePORounds drives a PO algorithm operationally through
-// the engine (DESIGN.md §9), whose packed uint64 form RunRoundsWord
-// and NewWordEngine expose (model.TypedOn[S] gives any state type).
-// Every engine entry takes a Schedule, and a nil Schedule is the clean
-// run.
+// the engine (DESIGN.md §7), and RunRoundsWord runs a WordAlgo on a
+// fresh engine for a host. Every engine entry takes a Schedule, and a
+// nil Schedule is the clean run.
 var (
 	HostFromGraph    = model.HostFromGraph
 	NewHost          = model.NewHost
@@ -168,31 +163,23 @@ var (
 	RunOI            = model.RunOI
 	RunID            = model.RunID
 	NewEngine        = model.NewEngine
-	NewWordEngine    = model.NewWordEngine
-	RunRoundsWord    = model.RunRoundsTyped[uint64]
+	RunRoundsWord    = model.RunRoundsWord
 	RunRoundsRef     = model.RunRoundsReference
 	SimulatePO       = model.SimulatePO
 	SimulatePORounds = model.SimulatePORounds
 )
 
-// The sharded giant-host plane (DESIGN.md §12): NewShardedEngine
-// partitions a host into P contiguous shards — each with its own CSR
-// slice, word-lane arenas and workers — and drains cross-shard arcs
-// through a compact exchange buffer at the round barrier. A ShardSource
-// describes the topology one node at a time, so implicit shard-capable
-// families (ParseShardHost: cycle, dcycle, torus, shift-regular) run
-// hosts past the flat int32 capacity in bounded resident memory; any
-// materialised host runs sharded through SourceOf. P=1 sharded output
-// is byte-identical to the flat Engine, clean and faulty alike (fault
-// coordinates stay global). RunWorkloadSharded runs the sharded
-// workloads on it.
+// Shards (DESIGN.md §7): NewShardedEngine builds the same Engine with
+// P contiguous shards — each with its own CSR slice, word-lane arenas
+// and worklist — and drains cross-shard arcs through a compact
+// exchange buffer at the round barrier. A ShardSource describes the
+// topology one node at a time, so implicit shard-capable families
+// (ParseShardHost: cycle, dcycle, torus, shift-regular) run hosts past
+// the flat int32 capacity in bounded resident memory; any materialised
+// host runs sharded through ShardSourceOf. Slot, fault and snapshot
+// coordinates are global, so P changes memory, never answers.
+// RunWorkloadSharded runs the streaming workloads on it.
 type (
-	// ShardedEngine is the P-shard round engine.
-	ShardedEngine = model.ShardedEngine
-	// ShardedWordAlgo is the sharded uint64 word-lane algorithm form
-	// (Init is sequential in global node order; Step sends through the
-	// shared WordSender interface, so one core drives both planes).
-	ShardedWordAlgo = model.ShardedWordAlgo
 	// ShardSource generates a host's topology shard-locally.
 	ShardSource = model.ShardSource
 	// ShardArc is one labelled arc emitted by a ShardSource.
@@ -201,9 +188,6 @@ type (
 	ShardStats = model.ShardStats
 	// IDFunc assigns identifiers without materialising an id table.
 	IDFunc = model.IDFunc
-	// WordSender is the send surface shared by the flat Outbox and the
-	// sharded outbox.
-	WordSender = model.WordSender
 )
 
 var (
@@ -229,18 +213,19 @@ var (
 	FaultProfiles         = model.DescribeProfiles
 )
 
-// The workload runner (DESIGN.md §13): the one entry behind localsim,
+// The workload runner (DESIGN.md §11): the one entry behind localsim,
 // /v1/run, jobs and E17. A WorkloadSpec names a registered workload
 // (Workloads), its fault schedule and its radius or horizon;
-// RunWorkload runs it on a caller-built flat engine and
-// RunWorkloadSharded on a sharded one, each under a context and each
-// returning one WorkloadOutcome.
+// RunWorkload runs it on a caller-built engine for a materialised host
+// and RunWorkloadSharded on one over a shard source (the same Engine
+// type at any P), each under a context and each returning one
+// WorkloadOutcome.
 type (
 	// Workload is one entry of the workload registry.
 	Workload = algorithms.Workload
 	// WorkloadSpec names one run of a registered workload.
 	WorkloadSpec = algorithms.Spec
-	// WorkloadOutcome is what a run reports, on either plane.
+	// WorkloadOutcome is what a run reports, on either path.
 	WorkloadOutcome = algorithms.Outcome
 )
 
@@ -313,7 +298,7 @@ var (
 // wrapped context error.
 var SweepMeasureAllCtx = order.SweepMeasureAllCtx
 
-// The service layer (DESIGN.md §10): NewServer builds the handler
+// The service layer (DESIGN.md §9): NewServer builds the handler
 // cmd/localapproxd serves — admission control over the worker budget,
 // per-request deadlines, panic isolation, a content-addressed result
 // cache with singleflight collapse, and health/readiness/metrics
@@ -328,7 +313,7 @@ type (
 // NewServer builds the hardened simulation-service handler.
 var NewServer = serve.New
 
-// Durable jobs and checkpoints (DESIGN.md §11): long-running workloads
+// Durable jobs and checkpoints (DESIGN.md §10): long-running workloads
 // submitted over /v1/jobs checkpoint their engine (or certify
 // enumeration) state into content-addressed, hash-verified snapshot
 // files, survive crashes by resuming from the latest valid snapshot on
