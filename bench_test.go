@@ -585,6 +585,22 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
+func BenchmarkNewShardedEngine(b *testing.B) {
+	// The implicit plane's construction: two shards over a directed
+	// cycle, routing resolved from the source. B/op is gated.
+	src, err := host.ParseShard("dcycle:200000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.NewShardedEngine(src, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHomogeneitySample(b *testing.B) {
 	c, err := homog.Search(1, 1, homog.SearchOptions{Seed: 42})
 	if err != nil {

@@ -103,7 +103,8 @@ func (s *CertifySnapshot) Encode() []byte {
 }
 
 // DecodeCertifySnapshot parses an Encode payload, validating structure
-// and ranges.
+// and ranges. It rejects malformed or hostile input with an error and
+// allocates no more than a small multiple of len(payload).
 func DecodeCertifySnapshot(payload []byte) (*CertifySnapshot, error) {
 	r := ckpt.NewReader(payload)
 	if v := r.Uvarint(); r.Err() == nil && v != certifySnapshotVersion {
@@ -121,6 +122,11 @@ func DecodeCertifySnapshot(payload []byte) (*CertifySnapshot, error) {
 	const maxN = 1 << 28
 	if s.N <= 0 || s.N > maxN || s.Radius < 0 || s.Radius > maxN {
 		return nil, fmt.Errorf("core: certify snapshot geometry out of range (n=%d r=%d)", s.N, s.Radius)
+	}
+	// Each type id is a uvarint of at least one byte: bound N by what
+	// remains before trusting it with an allocation.
+	if s.N > r.Len() {
+		return nil, fmt.Errorf("core: certify snapshot has %d nodes but only %d remaining bytes", s.N, r.Len())
 	}
 	s.TypeOf = make([]int32, s.N)
 	for i := range s.TypeOf {

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/digraph"
@@ -14,7 +16,7 @@ import (
 // directedPath returns the n-path 0→1→…→n−1: its radius-r views are
 // asymmetric (distance-to-end matters), so the type catalogue is
 // nontrivial and the enumeration long enough to checkpoint.
-func directedPath(t *testing.T, n int) *model.Host {
+func directedPath(t testing.TB, n int) *model.Host {
 	t.Helper()
 	b := digraph.NewBuilder(n, 1)
 	for i := 0; i < n-1; i++ {
@@ -33,7 +35,7 @@ func directedPath(t *testing.T, n int) *model.Host {
 
 // collectCertify runs a checkpointed certification and returns the
 // bound plus the encoded checkpoint stream keyed by cursor.
-func collectCertify(t *testing.T, h *model.Host, p problems.Problem, r, every int, resume *CertifySnapshot) (*LowerBound, map[int][]byte) {
+func collectCertify(t testing.TB, h *model.Host, p problems.Problem, r, every int, resume *CertifySnapshot) (*LowerBound, map[int][]byte) {
 	t.Helper()
 	stream := map[int][]byte{}
 	lb, err := CertifyPOLowerBoundOpts(h, p, r, 1<<20, CertifyOpts{
@@ -204,4 +206,52 @@ func TestCertifyDecodeCorrupt(t *testing.T) {
 	if _, err := CertifyPOLowerBoundOpts(h, problems.MinVertexCover{}, 2, 1<<20, CertifyOpts{Resume: snap}); err == nil {
 		t.Error("out-of-range resume cursor accepted")
 	}
+}
+
+// hostileCertifySnapshot is a 9-byte payload claiming 2^28 nodes:
+// version 1, an empty problem name, radius 0, N, then optimum 0.
+func hostileCertifySnapshot() []byte {
+	return append(binary.AppendUvarint([]byte{1, 0, 0}, 1<<28), 0)
+}
+
+// TestCertifyDecodeHostile: the node count is bounded by the bytes
+// that back it before anything is allocated, so a tiny hostile payload
+// fails fast instead of reserving a gigabyte.
+func TestCertifyDecodeHostile(t *testing.T) {
+	payload := hostileCertifySnapshot()
+	if len(payload) != 9 {
+		t.Fatalf("hostile payload is %d bytes, want 9", len(payload))
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := DecodeCertifySnapshot(payload); err == nil {
+		t.Fatal("hostile certify snapshot decoded")
+	}
+	runtime.ReadMemStats(&ms)
+	if grew := ms.TotalAlloc - before; grew > 1<<16 {
+		t.Fatalf("hostile certify snapshot allocated %d bytes", grew)
+	}
+}
+
+// FuzzDecodeCertifySnapshot: DecodeCertifySnapshot never panics, and
+// whatever it accepts re-encodes to the bytes of its own round trip.
+func FuzzDecodeCertifySnapshot(f *testing.F) {
+	h := directedPath(f, 12)
+	_, stream := collectCertify(f, h, problems.MinVertexCover{}, 2, 7, nil)
+	for _, payload := range stream {
+		f.Add(payload)
+	}
+	f.Add(hostileCertifySnapshot())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := DecodeCertifySnapshot(payload)
+		if err != nil {
+			return
+		}
+		enc := s.Encode()
+		again, err := DecodeCertifySnapshot(enc)
+		if err != nil || !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("accepted payload %x does not round-trip (err %v)", payload, err)
+		}
+	})
 }

@@ -199,8 +199,15 @@ func (c dcycleSource) Alphabet() int           { return 1 }
 func (c dcycleSource) Degree(int64) (int, int) { return 1, 1 }
 
 func (c dcycleSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph.SourceArc, []digraph.SourceArc) {
-	out = append(out, digraph.SourceArc{To: (v + 1) % c.n, Label: 0})
-	in = append(in, digraph.SourceArc{To: (v - 1 + c.n) % c.n, Label: 0})
+	next, prev := v+1, v-1
+	if next == c.n {
+		next = 0
+	}
+	if v == 0 {
+		prev = c.n - 1
+	}
+	out = append(out, digraph.SourceArc{To: next, Label: 0})
+	in = append(in, digraph.SourceArc{To: prev, Label: 0})
 	return out, in
 }
 
@@ -239,12 +246,24 @@ func (t torusSource) Degree(int64) (int, int) {
 	return len(t.dims), len(t.dims)
 }
 
+// AppendArcs derives coordinate e from the quotients q_e = v/stride[e]
+// as c_e = q_e - q_{e-1}*dims[e], one division per dimension, and
+// wraps the ±1 steps with compares. The sharded plane calls it several
+// times per node (construction, Init and the workload's own lookups).
 func (t torusSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph.SourceArc, []digraph.SourceArc) {
-	for e := range t.dims {
-		s, st := t.dims[e], t.stride[e]
-		c := (v / st) % s
-		fwd := v + (((c+1)%s)-c)*st
-		bwd := v + (((c-1+s)%s)-c)*st
+	prev := int64(0)
+	for e, s := range t.dims {
+		st := t.stride[e]
+		q := v / st
+		c := q - prev*s
+		prev = q
+		fwd, bwd := v+st, v-st
+		if c == s-1 {
+			fwd = v - c*st
+		}
+		if c == 0 {
+			bwd = v + (s-1)*st
+		}
 		out = append(out, digraph.SourceArc{To: fwd, Label: e})
 		in = append(in, digraph.SourceArc{To: bwd, Label: e})
 	}

@@ -70,7 +70,7 @@ func TestMulNodesOverflow(t *testing.T) {
 	}
 	for _, dims := range [][]int{
 		{100000, 100000},
-		{46341, 46341}, // 46341^2 = 2147488281, just past 2^31-1
+		{46341, 46341},                       // 46341^2 = 2147488281, just past 2^31-1
 		{1 << 20, 1 << 20, 1 << 20, 1 << 20}, // would overflow int64 without the prefix check
 	} {
 		if _, err := mulNodes(dims); err == nil {
@@ -230,6 +230,27 @@ func TestTorusSourceUnderlyingMatchesRegistry(t *testing.T) {
 		for v := 0; v < want.N(); v++ {
 			if !slices.Equal(got.G.Neighbors(v), want.Neighbors(v)) {
 				t.Fatalf("%s: node %d neighbours %v, want %v", desc, v, got.G.Neighbors(v), want.Neighbors(v))
+			}
+		}
+	}
+}
+
+// TestTorusSourceArcsMatchModular: the division-light AppendArcs
+// equals the modular coordinate formula, side lengths 1 and 2
+// (self-loops and doubled neighbours) included.
+func TestTorusSourceArcsMatchModular(t *testing.T) {
+	for _, dims := range [][]int{{5}, {1, 3}, {2, 2}, {2, 3, 4}, {1, 1, 2}, {4, 1, 3}} {
+		src := newTorusSource(dims)
+		for v := int64(0); v < src.N(); v++ {
+			out, in := src.AppendArcs(v, nil, nil)
+			for e := range dims {
+				s, st := src.dims[e], src.stride[e]
+				c := (v / st) % s
+				fwd := v + (((c+1)%s)-c)*st
+				bwd := v + (((c-1+s)%s)-c)*st
+				if out[e] != (digraph.SourceArc{To: fwd, Label: e}) || in[e] != (digraph.SourceArc{To: bwd, Label: e}) {
+					t.Fatalf("torus %v node %d dim %d: arcs %v/%v, want to %d/%d", dims, v, e, out[e], in[e], fwd, bwd)
+				}
 			}
 		}
 	}

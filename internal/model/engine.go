@@ -35,10 +35,13 @@ import (
 // Double buffering. Messages for round r live in arena r&1 and the
 // outboxes of round r are written into arena (r+1)&1, so a slot is
 // written by exactly one sender and read by exactly one receiver and
-// no round ever races with the next. Slots carry monotone int64
-// stamps instead of being cleared: a slot holds a live message for
-// round r iff its stamp equals the run's base tick + r + 1, so
-// neither arena is ever zeroed, not even between runs.
+// no round ever races with the next. Slots carry one-byte stamps
+// instead of being cleared every round: a slot holds a live message
+// for round r iff its stamp equals r+1-gen, where gen is the round the
+// current stamp epoch began at, so 0 is never live. Run clears both
+// stamp arenas, and when the next round's stamp would pass 255 the
+// barrier rebases: the live stamps become 1, every other stamp 0, and
+// gen moves to the next round (see rebase).
 //
 // Exchange. Cross-shard sends are staged in the sender's shard,
 // grouped by destination shard, and at the round barrier each
@@ -55,7 +58,7 @@ import (
 // P and of the worker count.
 //
 // An Engine may be reused for any number of runs (arenas warm up once;
-// the monotone stamps keep a run from reading an earlier run's
+// the per-run stamp clear keeps a run from reading an earlier run's
 // messages), but must not execute two runs concurrently.
 type Engine struct {
 	h      *Host // the host NewEngine built the plane from; nil for sources
@@ -68,8 +71,10 @@ type Engine struct {
 	// letter scratch are pre-sized from (2x for fault scratch, so
 	// duplicated deliveries fit).
 	maxSlots int32
-	tick     int64
-	errFlag  atomic.Bool
+	// gen is the round the current stamp epoch began at: round r's
+	// messages carry stamp r+1-gen. Run resets it; rebase advances it.
+	gen     int
+	errFlag atomic.Bool
 
 	// ctx, when non-nil, arms cooperative cancellation: the round loop
 	// polls ctx.Err() at every round barrier. See WithContext.
@@ -93,12 +98,12 @@ type shard struct {
 	dest []int32 // destination slot: local row slot, or off[n]+x staging slot
 
 	wbuf  [2][]uint64
-	stamp [2][]int64
+	stamp [2][]uint8
 
 	col    []uint64
 	halted []bool
+	// active is the worklist, compacted in place at every barrier.
 	active []int32
-	spare  []int32
 	// crashed marks permanently crashed nodes on faulty runs; lazily
 	// allocated on the first faulty run so clean engines pay nothing.
 	crashed []bool
@@ -197,10 +202,10 @@ func rowIndex(outs, ins []digraph.Arc, l view.Letter) int32 {
 func (sh *shard) alloc(p, nx int) {
 	// Each pair of double buffers is one allocation split in halves.
 	total := int(sh.off[sh.n]) + nx
-	w, st, lists := make([]uint64, 2*total), make([]int64, 2*total), make([]int32, 2*sh.n)
+	w, st := make([]uint64, 2*total), make([]uint8, 2*total)
 	sh.wbuf = [2][]uint64{w[:total:total], w[total:]}
-	sh.stamp = [2][]int64{st[:total:total], st[total:]}
-	sh.active, sh.spare = lists[:0:sh.n], lists[sh.n:sh.n]
+	sh.stamp = [2][]uint8{st[:total:total], st[total:]}
+	sh.active = make([]int32, 0, sh.n)
 	sh.col = make([]uint64, sh.n)
 	sh.halted = make([]bool, sh.n)
 	sh.xoff = make([]int32, p+1)
@@ -346,12 +351,11 @@ func (e *Engine) Source() ShardSource { return e.src }
 // ctx.Err() once per round barrier, and a cancelled or
 // deadline-expired context aborts the run between rounds with an error
 // wrapping ctx.Err() (so callers can errors.Is against
-// context.DeadlineExceeded). The persistent workers are released and
-// the message-plane tick advanced on that exit path exactly as on any
-// other, so a cancelled run hands its whole worker reservation back
-// mid-run. The poll is one Err call per round, so the steady-state
-// round stays allocation-free. A nil ctx (the default) disarms the
-// check. Returns e for chaining.
+// context.DeadlineExceeded). The persistent workers are released on
+// that exit path exactly as on any other, so a cancelled run hands its
+// whole worker reservation back mid-run. The poll is one Err call per
+// round, so the steady-state round stays allocation-free. A nil ctx
+// (the default) disarms the check. Returns e for chaining.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	e.ctx = ctx
 	return e
@@ -434,7 +438,7 @@ type Outbox struct {
 	sh   *shard
 	v    int32 // shard-local node index
 	nxt  int   // arena written this round
-	want int64 // stamp marking next-round messages
+	want uint8 // stamp marking next-round messages
 
 	// round and tag contextualise error strings (tag is " [profile]"
 	// on faulty runs, "" on clean ones), and the counters accumulate

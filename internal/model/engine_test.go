@@ -313,9 +313,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineReuseAfterError: a run that fails mid-way (absent slot,
-// non-halt) must not poison the plane — the tick advances past every
-// stamp the failed run wrote, so the next run on the same engine
-// reads no stale messages.
+// non-halt) must not poison the plane — the next run clears every
+// stamp the failed run wrote, so it reads no stale messages.
 func TestEngineReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
 	e := NewEngine(h)
@@ -355,8 +354,8 @@ func TestEngineReuseAfterError(t *testing.T) {
 	}
 }
 
-// TestEngineReuse: one engine executes many runs (stamps are monotone,
-// arenas are never cleared) with results identical to fresh engines.
+// TestEngineReuse: one engine executes many runs (each clears the
+// stamps, never the words) with results identical to fresh engines.
 func TestEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
 	e := NewEngine(h)

@@ -129,8 +129,8 @@ func RunRoundsWord(h *Host, ids []int, algo WordAlgo, maxRounds int, sched Sched
 // initStates runs Init sequentially in increasing global node order,
 // building each node's letter row into one reusable scratch row (read
 // straight from the CSR rows on a plane built from a host, which keeps
-// Init off the source adapter), and clears the halt flags and error
-// slots.
+// Init off the source adapter), and clears the halt flags, the error
+// slots and both stamp arenas, starting a stamp epoch at round 0.
 func (e *Engine) initStates(ids IDFunc, algo WordAlgo) {
 	letters := make([]view.Letter, 0, e.maxSlots)
 	targets := make([]int64, 0, e.maxSlots)
@@ -152,7 +152,10 @@ func (e *Engine) initStates(ids IDFunc, algo WordAlgo) {
 			sh.halted[v] = false
 		}
 		sh.errV, sh.err = -1, nil
+		clear(sh.stamp[0])
+		clear(sh.stamp[1])
 	}
+	e.gen = 0
 	e.errFlag.Store(false)
 }
 
@@ -200,14 +203,13 @@ func (e *Engine) rounds(algo WordAlgo, startRound int, resumed bool, counts Faul
 		totalActive += int64(len(active))
 	}
 
-	base := e.tick
 	// Per-round fields shared with the workers. Writes happen between
 	// phases on this goroutine; the start-channel send publishes them
 	// to the workers and wg.Wait closes the phase barrier.
 	var (
 		round    = startRound
 		curArena int
-		curWant  int64
+		curWant  uint8
 		phase    int // 0: step, 1: drain+compact
 		chunk    int64
 		chunkOff = make([]int64, p+1) // chunk index range of each shard
@@ -222,13 +224,6 @@ func (e *Engine) rounds(algo WordAlgo, startRound int, resumed bool, counts Faul
 		panicMu  sync.Mutex
 		panicked any
 	)
-	// Advance the tick past every stamp this run can have written, on
-	// every exit path (including errors and re-raised panics): a
-	// reused engine must never mistake a stale stamp for a live one.
-	defer func() {
-		e.tick = base + int64(round) + 2
-	}()
-
 	step := e.step(algo, sched)
 	work := func(ob *Outbox) {
 		defer func() {
@@ -324,7 +319,7 @@ func (e *Engine) rounds(algo WordAlgo, startRound int, resumed bool, counts Faul
 			}
 		}
 		curArena = round & 1
-		curWant = base + int64(round) + 1
+		curWant = uint8(round + 1 - e.gen)
 		chunk = totalActive/int64((workers+1)*4) + 1
 		for i, sh := range e.shards {
 			chunkOff[i+1] = chunkOff[i] + (int64(len(sh.active))+chunk-1)/chunk
@@ -350,13 +345,18 @@ func (e *Engine) rounds(algo WordAlgo, startRound int, resumed bool, counts Faul
 		for _, sh := range e.shards {
 			totalActive += int64(len(sh.active))
 		}
+		// Round+1 writes stamp round+3-gen: rebase before it passes the
+		// byte (and before the checkpoint, which reads the live stamps).
+		if totalActive > 0 && round+3-e.gen > math.MaxUint8 {
+			e.rebase(round + 1)
+		}
 		// Barrier checkpoint: after compaction (so crashes landing at
 		// round+1 are in the bitsets) and before the next round's
 		// cancellation poll (so RequestNow-then-cancel captures state
 		// right at the cancellation point). The idle cost is one nil
 		// check; a finished run (empty worklists) never checkpoints.
 		if e.ck != nil && totalActive > 0 && e.ck.due(round+1) {
-			if err := e.snapshotAt(round+1, base, sched, tally(counts, obs)); err != nil {
+			if err := e.snapshotAt(round+1, sched, tally(counts, obs)); err != nil {
 				return 0, nil, err
 			}
 		}
@@ -476,12 +476,12 @@ func (e *Engine) stepFaulty(algo WordAlgo, sched Schedule) func(int32, *Outbox) 
 
 // drain is the barrier phase for destination shard d: pull every
 // staged word aimed at d out of the source shards' exchange buffers
-// into d's next-round arena, then compact d's worklist (halted nodes
-// leave; on faulty runs nodes whose crash round arrived leave for
-// good). Each destination slot is written by exactly one staging
-// entry, so destination-parallel draining is race-free; the spare
-// list flips roles so neither list is reallocated.
-func (e *Engine) drain(d, round, curArena int, curWant int64, sched Schedule) {
+// into d's next-round arena, then compact d's worklist in place
+// (halted nodes leave; on faulty runs nodes whose crash round arrived
+// leave for good; the write index never passes the read index). Each
+// destination slot is written by exactly one staging entry, so
+// destination-parallel draining is race-free.
+func (e *Engine) drain(d, round, curArena int, curWant uint8, sched Schedule) {
 	dst := e.shards[d]
 	nxt := curArena ^ 1
 	want := curWant + 1
@@ -503,7 +503,7 @@ func (e *Engine) drain(d, round, curArena int, curWant int64, sched Schedule) {
 	if delivered > 0 {
 		dst.exchanged.Add(delivered)
 	}
-	next := dst.spare[:0]
+	next := dst.active[:0]
 	for _, v := range dst.active {
 		if dst.halted[v] {
 			continue
@@ -514,9 +514,30 @@ func (e *Engine) drain(d, round, curArena int, curWant int64, sched Schedule) {
 		}
 		next = append(next, v)
 	}
-	dst.spare = dst.active[:0]
 	dst.active = next
 	dst.activeN.Store(int64(len(next)))
+}
+
+// rebase starts a new stamp epoch at the barrier entering round next,
+// after every drain: in arena next&1 the live stamps become 1 and
+// every other stamp 0, staging tails included, and the other arena,
+// which round next writes with stamp 2, is cleared. gen becomes next,
+// so the live messages keep their meaning and no stale stamp can
+// equal a live one.
+func (e *Engine) rebase(next int) {
+	live := uint8(next + 1 - e.gen)
+	for _, sh := range e.shards {
+		cur := sh.stamp[next&1]
+		for i, st := range cur {
+			if st == live {
+				cur[i] = 1
+			} else {
+				cur[i] = 0
+			}
+		}
+		clear(sh.stamp[next&1^1])
+	}
+	e.gen = next
 }
 
 // WordEngine and ShardedEngine name the one plane under the type names

@@ -367,8 +367,7 @@ func TestShardedErrorParity(t *testing.T) {
 }
 
 // TestShardedEngineReuse: like the flat engine, one sharded engine
-// serves many runs with monotone stamps — a second run must see no
-// ghost of the first.
+// serves many runs — a second run must see no ghost of the first.
 func TestShardedEngineReuse(t *testing.T) {
 	src, err := host.ParseShard("cycle:30")
 	if err != nil {

@@ -19,17 +19,19 @@ import (
 // Why barriers, and why it is exact. Between rounds the engine's whole
 // dynamic state is: the per-node states, which nodes have halted or
 // crashed, and the messages written for the next round (arena
-// (round)&1 stamped base+round+1, where base is the run's tick). All
+// round&1 stamped round+1-gen, where gen is the round the current
+// stamp epoch began at). All
 // fault decisions (Fate/State/Reorder) are pure hashes of the
 // schedule's seed and *absolute* coordinates (round, slot/node), so a
 // resumed run that keeps absolute round numbering replays the exact
 // fate sequence of the original; and the worklist is always the
 // increasing-vertex-order filter of the halt/crash bitsets (round-0
 // construction and every compaction preserve order), so it is
-// reconstructed rather than stored. Stamps are re-based on the
-// resuming engine's own tick; stale stamps from that engine's earlier
-// runs are strictly below its tick, so a restored message can never
-// be confused with a leftover one.
+// reconstructed rather than stored. Stamps are not stored either: a
+// snapshot lists the live slots, and the resuming run, whose stamp
+// arenas Run has cleared, starts a stamp epoch at the snapshot's round
+// and stamps those slots 1, so a restored message can never be
+// confused with a leftover one.
 //
 // Coordinates. Snapshots are written in global coordinates — global
 // node order for the bitsets and the state column, global slot indices
@@ -77,9 +79,9 @@ type Snapshot struct {
 	// increasing node order.
 	States []byte
 
-	// consumed rejects resuming one in-memory snapshot twice: the
-	// second resume would replay messages into an engine whose tick
-	// has already moved past them.
+	// consumed rejects resuming one in-memory snapshot twice: a
+	// snapshot stands for one point of one run, which a resume moves
+	// past.
 	consumed bool
 }
 
@@ -246,7 +248,7 @@ func (e *Engine) Resume(snap *Snapshot) *Engine {
 // rounds (after the barrier's drain and worklist compaction, so every
 // exchanged word is in its destination arena), and every field it
 // reads is quiescent.
-func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, counts FaultReport) error {
+func (e *Engine) snapshotAt(nextRound int, sched Schedule, counts FaultReport) error {
 	if e.n > math.MaxInt32 || e.slots > math.MaxInt32 {
 		return fmt.Errorf("model: checkpoint at round %d: n=%d and %d slots exceed the int32 snapshot coordinates", nextRound, e.n, e.slots)
 	}
@@ -266,9 +268,9 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, counts Fa
 		snap.DownSteps = counts.DownSteps
 	}
 	// Messages for round nextRound live in arena nextRound&1, stamped
-	// base+nextRound+1 (the writing round's want was curWant+1).
+	// nextRound+1-gen (after any rebase at this barrier).
 	arena := nextRound & 1
-	want := base + int64(nextRound) + 1
+	want := uint8(nextRound + 1 - e.gen)
 	for _, sh := range e.shards {
 		snap.Halted = append(snap.Halted, sh.halted...)
 		if sched != nil {
@@ -295,11 +297,9 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, counts Fa
 
 // restore validates a snapshot against the run being started and, only
 // once every check has passed, restores it over the freshly
-// initialised plane: halt/crash bitsets, the state column, and the
-// pending words with their stamps re-based on this engine's tick
-// (stale stamps from its earlier runs are strictly below the tick, so
-// a restored message is never confused with a leftover one). It
-// returns the fault-counter bases. A rejected snapshot restores
+// initialised plane (stamp arenas cleared): halt/crash bitsets, the
+// state column, and the pending words, stamped 1 in a stamp epoch that
+// begins at the snapshot's round. It returns the fault-counter bases. A rejected snapshot restores
 // nothing, so the engine stays safe for ordinary runs.
 func (e *Engine) restore(snap *Snapshot, faulty bool) (FaultReport, error) {
 	if snap.consumed {
@@ -343,7 +343,7 @@ func (e *Engine) restore(snap *Snapshot, faulty bool) (FaultReport, error) {
 		}
 	}
 	arena := snap.Round & 1
-	want := e.tick + int64(snap.Round) + 1
+	e.gen = snap.Round
 	j := 0 // pending slots are increasing, so their shards are too
 	for i, s := range snap.Pending {
 		for int64(s) >= e.shards[j].slotBase+int64(len(e.shards[j].dest)) {
@@ -351,7 +351,7 @@ func (e *Engine) restore(snap *Snapshot, faulty bool) (FaultReport, error) {
 		}
 		sh := e.shards[j]
 		local := int64(s) - sh.slotBase
-		sh.stamp[arena][local] = want
+		sh.stamp[arena][local] = 1
 		sh.wbuf[arena][local] = snap.Words[i]
 	}
 	return FaultReport{

@@ -25,7 +25,11 @@ Modes:
       fewer cores its goroutines timeshare, which can only make the
       measured ns/op worse than the baseline machine's, never
       spuriously better, so the gate stays sound (merely
-      conservative). Exit 1 on any regression.
+      conservative). The construction benchmarks in BYTES_GATED are
+      also gated on raw B/op, which does not depend on the machine and
+      moves only by the harness's own allocations amortised over b.N
+      (a few dozen bytes): a byte count growing by more than the
+      threshold fails. Exit 1 on any regression.
 
 Watched benchmarks (the CSR/interner/sweep/round-engine hot paths the
 repo promises not to regress): ViewEncode, CanonicalBall,
@@ -56,6 +60,11 @@ HostParseRandomRegular (descriptor to CSR graph: the generators' direct
 CSR fill and graph.FromCSR's validation), FromPorts (the port digraph
 in two counting passes), IDDraw (model.PermIDs, the O(n)-memory
 rng.Perm(8n)[:n]) and NewEngine (plane arenas).
+
+Byte-gated benchmarks (BYTES_GATED): the construction layer above plus
+NewShardedEngine (a two-shard plane over an implicit directed cycle),
+whose B/op is the plane's arena footprint and does not depend on the
+machine.
 """
 import json
 import re
@@ -84,6 +93,15 @@ WATCHED = [
     "BenchmarkFromPorts",
     "BenchmarkIDDraw",
     "BenchmarkNewEngine",
+]
+
+BYTES_GATED = [
+    "BenchmarkHostParseTorus",
+    "BenchmarkHostParseRandomRegular",
+    "BenchmarkFromPorts",
+    "BenchmarkIDDraw",
+    "BenchmarkNewEngine",
+    "BenchmarkNewShardedEngine",
 ]
 
 LINE = re.compile(
@@ -157,6 +175,19 @@ def check(bench_path, baseline_path, threshold):
             astatus = "ALLOC REGRESSION"
             failed.append(name + " (allocs)")
         print(f"  {name}: {base_a} -> {cur_a} allocs/op {astatus}")
+    for name in BYTES_GATED:
+        base_b = base.get(name, {}).get("B_op")
+        cur_b = cur.get(name, {}).get("B_op")
+        if base_b is None or cur_b is None:
+            print(f"benchdelta: WARNING byte-gated {name} missing B/op in run or baseline")
+            continue
+        # B/op of these serial construction benchmarks is the size of
+        # what they build: compared raw, like allocs/op.
+        bstatus = "ok"
+        if cur_b > base_b * (1 + threshold):
+            bstatus = "BYTES REGRESSION"
+            failed.append(name + " (bytes)")
+        print(f"  {name}: {base_b} -> {cur_b} B/op {bstatus}")
     if failed:
         sys.exit(
             f"benchdelta: regression above {threshold:.0%} in: "
